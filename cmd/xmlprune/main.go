@@ -62,8 +62,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	jobs := fs.Int("jobs", 0, "concurrent pruning workers for multiple inputs (default GOMAXPROCS)")
 	keepGoing := fs.Bool("keep-going", false, "with multiple inputs, prune the rest after a document fails")
 	intra := fs.Int("intra", 0, "intra-document parallel pruning workers; 0 auto-selects per document, >0 forces the parallel pruner")
-	chunk := fs.Int("chunk", 0, "stage-1 index chunk size in bytes for intra-document parallelism (0 = auto)")
-	pipeWindow := fs.Int("pipe-window", 0, "pipelined streaming window size in bytes (0 = auto); stdin and pipe inputs on multi-CPU hosts use the pipelined pruner, whose memory is bounded by ring x window")
+	pipeWindow := fs.Int("pipe-window", 0, "parallel pruner window size in bytes (0 = auto); stdin and pipe inputs on multi-CPU hosts use the pipelined pruner, whose memory is bounded by ring x window")
 	pipeRing := fs.Int("pipe-ring", 0, "pipelined streaming ring depth: window slabs in flight at once (0 = auto)")
 	resultCache := fs.Int64("result-cache", xmlproj.DefaultResultCacheBytes, "byte budget for the content-addressed result cache: duplicate documents in a batch are pruned once and served from cache (0 or negative = disabled)")
 	var queries, ins, projSpecs stringList
@@ -221,7 +220,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		FailFast:           !*keepGoing,
 		Parallel:           *intra > 0,
 		IntraWorkers:       *intra,
-		IntraChunkSize:     *chunk,
 		PipelineWindowSize: *pipeWindow,
 		PipelineRingDepth:  *pipeRing,
 	})

@@ -139,21 +139,24 @@ type BatchResult struct {
 }
 
 // ParallelStages is the per-stage breakdown of one intra-document
-// parallel prune: structural indexing, concurrent fragment pruning, and
-// the sequential splice pass that stitches the fragments together.
+// parallel prune over in-memory input (PruneParallel): IndexTime is the
+// incremental structural index and planning, PruneTime the summed time
+// of the concurrent fragment workers, and StitchTime the in-order spine
+// pass that splices the fragments together.
 type ParallelStages struct {
 	IndexTime, PruneTime, StitchTime time.Duration
 	// Workers is the resolved worker count; Tasks the number of document
 	// ranges pruned concurrently.
 	Workers, Tasks int
 	// Fallback reports that the document was handed to the serial pruner
-	// (input the structural index cannot describe).
+	// (a token cap too small for the windowing invariants).
 	Fallback bool
 }
 
 // PipelineStages is the per-stage breakdown of one pipelined streaming
-// prune: reading source bytes into window slabs, incremental structural
-// indexing, concurrent fragment pruning, and in-order emission.
+// prune (PrunePipelined): reading source bytes into window slabs,
+// incremental structural indexing, summed concurrent fragment pruning,
+// and in-order emission.
 type PipelineStages struct {
 	ReadTime, IndexTime, PruneTime, EmitTime time.Duration
 	// Windows is the number of window slabs the document was cut into;
@@ -196,14 +199,11 @@ type BatchOptions struct {
 	// intra-document parallelism will want Workers × IntraWorkers to be
 	// about GOMAXPROCS.
 	IntraWorkers int
-	// IntraChunkSize overrides the parallel pruner's stage-1 chunk
-	// granularity in bytes (0 = auto).
-	IntraChunkSize int
-	// PipelineWindowSize and PipelineRingDepth bound the pipelined
-	// streaming pruner per job — window slab size in bytes and in-flight
-	// slab count (0 = engine defaults). Auto-selection runs the pipelined
-	// engine for unsized (or large sized) reader sources on multi-CPU
-	// hosts; each such job's peak input residency is their product.
+	// PipelineWindowSize and PipelineRingDepth size the parallel
+	// pruner's windows per job — fresh bytes per window and windows in
+	// flight (0 = engine defaults). For reader sources, which
+	// auto-selection runs pipelined when unsized (or large) on multi-CPU
+	// hosts, each job's peak input residency is their product.
 	PipelineWindowSize int
 	PipelineRingDepth  int
 }
@@ -230,7 +230,6 @@ func (eng *Engine) PruneBatch(ctx context.Context, p *Projector, jobs []BatchJob
 		Validate:           opts.Validate,
 		FailFast:           opts.FailFast,
 		IntraWorkers:       opts.IntraWorkers,
-		IntraChunkSize:     opts.IntraChunkSize,
 		PipelineWindowSize: opts.PipelineWindowSize,
 		PipelineRingDepth:  opts.PipelineRingDepth,
 	}

@@ -22,7 +22,7 @@ type StreamPruneCase struct {
 	// (the raw-copy fast path, exercised with and without validation).
 	Projector string `json:"projector"`
 	// Engine is "scanner" (internal/scan), "decoder" (encoding/xml),
-	// "parallel" (the two-stage intra-document parallel pruner), or the
+	// "parallel" (the parallel pruner over resident windows), or the
 	// span-gather variants "gather" / "gather-parallel" (output recorded
 	// as spans over the input instead of copied). The shared-scan cases
 	// are "multi" (one fused pass over N projectors) and "serial-xN"
@@ -53,8 +53,6 @@ type StreamPruneCase struct {
 type StreamPruneOptions struct {
 	// IntraWorkers bounds the parallel pruner's workers (0 = GOMAXPROCS).
 	IntraWorkers int
-	// ChunkSize overrides the parallel pruner's stage-1 chunk size.
-	ChunkSize int
 }
 
 // StreamPruneReport is the JSON artifact emitted by `xbench -streamprune`.
@@ -229,11 +227,10 @@ func RunStreamPrune(factor float64, seed int64, opts StreamPruneOptions) (*Strea
 	}
 	mkOpts := func(name string, eng prune.Engine, v bool) prune.StreamOptions {
 		return prune.StreamOptions{
-			Engine:            eng,
-			Validate:          v,
-			Projection:        compiled[name],
-			ParallelWorkers:   opts.IntraWorkers,
-			ParallelChunkSize: opts.ChunkSize,
+			Engine:          eng,
+			Validate:        v,
+			Projection:      compiled[name],
+			ParallelWorkers: opts.IntraWorkers,
 		}
 	}
 	mkPipeOpts := func(name string, v bool, det *prune.PipelineDetail) prune.StreamOptions {

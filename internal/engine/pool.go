@@ -80,13 +80,10 @@ type BatchOptions struct {
 	// Workers × IntraWorkers ≈ GOMAXPROCS and a batch of large
 	// documents never oversubscribes the CPUs.
 	IntraWorkers int
-	// IntraChunkSize overrides the parallel pruner's stage-1 chunk
-	// granularity in bytes (0 = auto).
-	IntraChunkSize int
-	// PipelineWindowSize and PipelineRingDepth bound the pipelined
-	// streaming pruner's window slabs and in-flight slab count per job
-	// (0 = engine defaults); peak per-job input residency is their
-	// product.
+	// PipelineWindowSize and PipelineRingDepth size the parallel
+	// pruner's windows per job — fresh bytes per window and windows in
+	// flight (0 = engine defaults); a pipelined job's peak input
+	// residency is their product.
 	PipelineWindowSize int
 	PipelineRingDepth  int
 	// ResultVariant enables the result cache for this batch: the
@@ -220,7 +217,6 @@ func (e *Engine) runJob(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, proj *d
 				Projection:         proj,
 				Engine:             opts.Engine,
 				ParallelWorkers:    opts.IntraWorkers,
-				ParallelChunkSize:  opts.IntraChunkSize,
 				PipelineWindowSize: opts.PipelineWindowSize,
 				PipelineRingDepth:  opts.PipelineRingDepth,
 				Detail:             &res.Parallel,
@@ -280,12 +276,13 @@ func (e *Engine) tryCachedJob(src *countingReader, job Job, d *dtd.DTD, pi dtd.N
 	}
 	entry, g, stats, _, err := e.CachedGather(key, func() (*prune.Gather, prune.Stats, error) {
 		return prune.StreamGather(data, d, pi, prune.StreamOptions{
-			Validate:          opts.Validate,
-			Projection:        proj,
-			Engine:            opts.Engine,
-			ParallelWorkers:   opts.IntraWorkers,
-			ParallelChunkSize: opts.IntraChunkSize,
-			Detail:            &res.Parallel,
+			Validate:           opts.Validate,
+			Projection:         proj,
+			Engine:             opts.Engine,
+			ParallelWorkers:    opts.IntraWorkers,
+			PipelineWindowSize: opts.PipelineWindowSize,
+			PipelineRingDepth:  opts.PipelineRingDepth,
+			Detail:             &res.Parallel,
 		})
 	})
 	if err != nil {

@@ -1,34 +1,34 @@
-// Package index builds a structural index of an XML document for the
-// parallel pruner, simdjson-style: the input is split into byte chunks
-// scanned concurrently for structural '<' positions, each classified as
-// a start tag, end tag, comment, CDATA section, processing instruction
-// or directive; a cheap sequential fix-up pass then stitches chunk
-// boundaries (a construct spanning a cut invalidates the speculative
-// entries it covers) and prefix-sums depth deltas into absolute depths.
+// Package index builds the structural index the parallel pruner plans
+// with, one window at a time: StreamIndexer finds the structural '<'
+// positions of each window of document bytes, classifies each as a
+// start tag, end tag, comment, CDATA section, processing instruction or
+// directive, resolves tag names to DTD symbols, and carries element
+// depth across windows.
+//
+// Windows are presented in document order; each must begin with the
+// bytes the previous window did not consume. The indexer reports how
+// many bytes of a window were covered by complete constructs —
+// everything after that (a trailing text run, an incomplete construct)
+// must be re-presented at the start of the next window, so a presented
+// window always ends exactly at the end of a complete '<'-construct and
+// no text run or construct ever straddles one.
 //
 // Classification is context-free: given that an offset really is a
 // structural '<' (outside every tag, comment, CDATA section, PI and
 // directive), the construct's kind and extent depend only on the bytes
-// from that offset forward. Workers therefore scan speculatively —
-// assuming their chunk starts in element content — and the stitch pass
-// validates each speculative entry by reaching it through verified
-// ground: an entry is kept only when the scan cursor arrives at its
-// offset through a gap the worker proved free of '<'. Entries the
-// cursor lands inside of (the worker had desynchronised) are dropped
-// and the region is rescanned serially until it resynchronises.
-//
-// The index is intentionally conservative: structure it cannot classify
-// (an unterminated construct, '<' inside a quoted attribute value, no
-// single non-empty root) reports ErrStructure and the caller falls back
-// to the serial pruner, which reproduces the exact serial verdict.
+// from that offset forward. It is tri-state: a construct is complete
+// (streamOK), needs bytes beyond the window (streamNeedMore — retry
+// when more input arrives), or is malformed in a way the serial scanner
+// is guaranteed to error at within the bytes already seen
+// (streamMalformed — a '<' inside a start tag, quoted or bare). Only
+// the malformed case kills the stream: the caller stops delegating and
+// lets the spine pruner reproduce the exact serial error.
 package index
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 )
 
 // Kind classifies one structural entry.
@@ -51,7 +51,7 @@ const (
 // Entry is one structural position: the construct's byte extent
 // [Off, End), its kind, the element symbol for tags (-1 when the name
 // is not in the DTD or not a tag), and the absolute element depth
-// assigned by the stitch pass. Depth is the number of open elements
+// carried across windows. Depth is the number of open elements
 // enclosing the construct, with an End tag recording the depth of the
 // element it closes — an element's Start and End entries carry the
 // same Depth (the root's are 0, its children's 1, and so on).
@@ -63,165 +63,191 @@ type Entry struct {
 	Kind  Kind
 }
 
-// Options configures Build.
-type Options struct {
-	// Workers bounds stage-1 parallelism; 0 means GOMAXPROCS.
-	Workers int
-	// ChunkSize is the byte-chunk granularity for the parallel scan;
-	// 0 picks a size from the input length and worker count.
-	ChunkSize int
-	// MaxTokenSize bounds a single construct or inter-construct text
-	// gap; longer ones fail with ErrTokenTooLong, mirroring the serial
-	// scanner's sliding-buffer cap. 0 means no stage-1 bound.
-	MaxTokenSize int
-	// Lookup resolves a tag's local name to its DTD symbol (for Entry.Sym);
-	// nil leaves every Sym at -1.
-	Lookup func(local []byte) (int32, bool)
-}
-
-// Index is the structural index of one document.
-type Index struct {
-	Entries []Entry
-	// RootStart and RootEnd are the Entries indexes of the root
-	// element's start and end tags.
-	RootStart, RootEnd int
-
-	chunks [][]Entry // pooled per-chunk scratch
-}
-
-// ErrStructure reports document structure the index cannot describe
-// (an unterminated construct, '<' inside a quoted value, no single
-// non-empty root element, unbalanced tags). The caller is expected to
-// fall back to the serial pruner, which either handles the input or
-// reproduces the serial error verdict.
-var ErrStructure = errors.New("index: document structure unsuitable for parallel pruning")
-
 // ErrTokenTooLong reports a single construct or text gap longer than
-// Options.MaxTokenSize, detected in stage 1 before any fragment work.
+// StreamIndexer.MaxTokenSize, detected before any fragment work.
 var ErrTokenTooLong = errors.New("index: token exceeds the maximum token size")
 
-var indexPool = sync.Pool{New: func() any { return new(Index) }}
+// streamStatus is the tri-state result of classifying one construct
+// against a bounded window.
+type streamStatus uint8
 
-// Build scans data in parallel and returns its structural index.
-// Errors are either ErrStructure (fall back to serial), ErrTokenTooLong
-// (hard failure, matches the serial scanner's cap) — both wrapped.
-func Build(data []byte, opts Options) (*Index, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+const (
+	// streamOK: the construct is complete within the window.
+	streamOK streamStatus = iota
+	// streamNeedMore: the construct extends past the window; retry with
+	// more bytes.
+	streamNeedMore
+	// streamMalformed: the serial scanner is guaranteed to reject the
+	// construct using only the bytes already seen ('<' inside a start
+	// tag, bare or inside a closed quoted value).
+	streamMalformed
+)
+
+// classifyStream classifies the construct starting at the structural
+// '<' at data[off]. It is context-free: the result depends only on
+// bytes from off forward.
+func classifyStream(data []byte, off int, lookup func([]byte) (int32, bool)) (Entry, streamStatus) {
+	e := Entry{Off: off, Sym: -1}
+	rest := data[off+1:]
+	if len(rest) == 0 {
+		return e, streamNeedMore
 	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = len(data) / (workers * 4)
-		const minChunk, maxChunk = 64 << 10, 8 << 20
-		if chunk < minChunk {
-			chunk = minChunk
+	switch rest[0] {
+	case '/':
+		return classifyEndTag(data, off, lookup)
+	case '?':
+		// PI: ends at the first "?>".
+		k := bytes.Index(rest[1:], []byte("?>"))
+		if k < 0 {
+			return e, streamNeedMore
 		}
-		if chunk > maxChunk {
-			chunk = maxChunk
-		}
-	}
-	n := (len(data) + chunk - 1) / chunk
-	if n < 1 {
-		n = 1
-	}
-
-	ix := indexPool.Get().(*Index)
-	ix.Entries = ix.Entries[:0]
-	ix.RootStart, ix.RootEnd = -1, -1
-	if cap(ix.chunks) < n {
-		ix.chunks = make([][]Entry, n)
-	}
-	chunks := ix.chunks[:n]
-	// anoms[i] is the offset where chunk i's worker stopped classifying
-	// (an unclassifiable '<'), or -1.
-	anoms := make([]int, n)
-
-	// Stage 1a: speculative parallel chunk scan.
-	var wg sync.WaitGroup
-	conc := workers
-	if conc > n {
-		conc = n
-	}
-	var next int32
-	nextMu := sync.Mutex{}
-	take := func() int {
-		nextMu.Lock()
-		i := int(next)
-		next++
-		nextMu.Unlock()
-		return i
-	}
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := take()
-				if ci >= n {
-					return
-				}
-				from := ci * chunk
-				to := from + chunk
-				if to > len(data) {
-					to = len(data)
-				}
-				chunks[ci], anoms[ci] = scanChunk(data, from, to, chunks[ci][:0], opts.Lookup)
+		e.Kind = PI
+		e.End = off + 2 + k + 2
+		return e, streamOK
+	case '!':
+		if bytes.HasPrefix(rest, []byte("!--")) {
+			k := bytes.Index(rest[3:], []byte("-->"))
+			if k < 0 {
+				return e, streamNeedMore
 			}
-		}()
+			e.Kind = Comment
+			e.End = off + 4 + k + 3
+			return e, streamOK
+		}
+		if bytes.HasPrefix(rest, []byte("![CDATA[")) {
+			k := bytes.Index(rest[8:], []byte("]]>"))
+			if k < 0 {
+				return e, streamNeedMore
+			}
+			e.Kind = CDATA
+			e.End = off + 9 + k + 3
+			return e, streamOK
+		}
+		return classifyDirective(data, off)
+	default:
+		return classifyStartTag(data, off, lookup)
 	}
-	wg.Wait()
-
-	// Stage 1b: sequential stitch — validate speculative entries by
-	// reaching them through verified ground, repair desynchronised
-	// regions, and prefix-sum depths.
-	if err := ix.stitch(data, chunks, anoms, chunk, opts); err != nil {
-		ix.Release()
-		return nil, err
-	}
-	return ix, nil
 }
 
-// Release returns the index's buffers to the pool. The index and its
-// entries must not be used afterwards.
-func (ix *Index) Release() {
-	ix.RootStart, ix.RootEnd = -1, -1
-	indexPool.Put(ix)
+// StreamIndexer builds a structural index incrementally, one window at
+// a time. Windows must be presented in document order, each beginning
+// with the bytes the previous Window call did not consume. The zero
+// value is ready to use after setting Lookup and MaxTokenSize.
+type StreamIndexer struct {
+	// MaxTokenSize bounds a single construct or inter-construct text
+	// gap, mirroring the serial scanner's sliding-buffer cap. 0 means
+	// no bound.
+	MaxTokenSize int
+	// Lookup resolves a tag's local name to its DTD symbol; nil leaves
+	// every Sym at -1.
+	Lookup func(local []byte) (int32, bool)
+
+	depth int32 // open-element depth carried across windows
+	dead  bool  // a malformed construct was seen; no further indexing
+	ents  []Entry
 }
 
-// scanChunk finds and classifies structural '<' positions in [from,to),
-// assuming from lies in element content. Constructs may extend past to;
-// classification reads as far as it needs. Returns the entries and the
-// offset of the first '<' it could not classify (-1 when none).
-func scanChunk(data []byte, from, to int, out []Entry, lookup func([]byte) (int32, bool)) ([]Entry, int) {
-	pos := from
-	for pos < to {
-		j := bytes.IndexByte(data[pos:to], '<')
+// Window is the index of one presented window.
+type Window struct {
+	// Entries are the complete constructs found, in document order,
+	// with absolute depths. The slice is reused by the next Window
+	// call.
+	Entries []Entry
+	// Consumed is the end offset of the last complete construct: the
+	// caller must carry data[Consumed:] — the trailing text run plus
+	// any incomplete construct — into the next window.
+	Consumed int
+	// Dead reports a construct the serial scanner is guaranteed to
+	// error at within this window (a malformed start tag, or an end
+	// tag with no element open). Entries stops before it; the caller
+	// must stop delegating and let the spine reproduce the error.
+	Dead bool
+	// Err is a MaxTokenSize violation (wrapped ErrTokenTooLong): a
+	// single construct or text gap exceeded the cap.
+	Err error
+}
+
+// Depth returns the current open-element depth (the number of Start
+// entries seen without their End), i.e. the depth at the start of the
+// next window.
+func (si *StreamIndexer) Depth() int { return int(si.depth) }
+
+// Reset returns the indexer to its initial state, keeping buffers.
+func (si *StreamIndexer) Reset() {
+	si.depth = 0
+	si.dead = false
+	si.ents = si.ents[:0]
+}
+
+// Window indexes one window of document content. data must start with
+// the bytes the previous call did not consume (data[Consumed:]).
+func (si *StreamIndexer) Window(data []byte) Window {
+	si.ents = si.ents[:0]
+	w := Window{}
+	if si.dead {
+		w.Dead = true
+		w.Entries = si.ents
+		return w
+	}
+	maxTok := si.MaxTokenSize
+	pos := 0
+	runStart := 0 // end of the last accepted construct in this window
+	for pos < len(data) {
+		j := bytes.IndexByte(data[pos:], '<')
 		if j < 0 {
 			break
 		}
-		off := pos + j
-		e, ok := classifyAt(data, off, lookup)
-		if !ok {
-			return out, off
+		j += pos
+		e, st := classifyStream(data, j, si.Lookup)
+		if st == streamNeedMore {
+			break
 		}
-		out = append(out, e)
+		if st == streamMalformed {
+			si.dead = true
+			w.Dead = true
+			break
+		}
+		if maxTok > 0 {
+			// The carry discipline guarantees the text run since the last
+			// construct starts inside this window, so these per-window
+			// checks bound the whole document.
+			if gap := e.Off - runStart; gap > maxTok {
+				w.Err = fmt.Errorf("%w (%d-byte text run)", ErrTokenTooLong, gap)
+				break
+			}
+			if ln := e.End - e.Off; ln > maxTok {
+				w.Err = fmt.Errorf("%w (%d-byte construct)", ErrTokenTooLong, ln)
+				break
+			}
+		}
+		e.Depth = si.depth
+		switch e.Kind {
+		case Start:
+			si.depth++
+		case StartEmpty:
+			// Depth unchanged, also at depth 0: the serial pruner accepts
+			// empty-element tags at document level.
+		case End:
+			if si.depth == 0 {
+				// No element open: the spine errors at this tag
+				// ("unbalanced end element"), exactly like serial.
+				si.dead = true
+				w.Dead = true
+			} else {
+				si.depth--
+				e.Depth = si.depth
+			}
+		}
+		if w.Dead {
+			break
+		}
+		si.ents = append(si.ents, e)
 		pos = e.End
+		runStart = e.End
 	}
-	return out, -1
-}
-
-// classifyAt classifies the construct starting at the structural '<' at
-// data[off]. It is context-free: the result depends only on bytes from
-// off forward. ok is false when the construct cannot be classified
-// (unterminated, '<' inside the tag or a quoted value, malformed name
-// start handled permissively — see below). The batch index does not
-// care why classification failed; the streaming indexer does, so the
-// guts live in classifyStream (stream.go) and this wrapper collapses
-// its tri-state result.
-func classifyAt(data []byte, off int, lookup func([]byte) (int32, bool)) (Entry, bool) {
-	e, st := classifyStream(data, off, lookup)
-	return e, st == streamOK
+	w.Entries = si.ents
+	w.Consumed = runStart
+	return w
 }
 
 // classifyEndTag scans "</name ... >". Malformed interiors still get an
@@ -249,8 +275,8 @@ func classifyEndTag(data []byte, off int, lookup func([]byte) (int32, bool)) (En
 // is legal inside a quoted attribute value). A '<' inside the tag —
 // quoted or not — is malformed: the serial scanner is guaranteed to
 // error at that byte with no later input needed, which is what lets the
-// streaming indexer distinguish it from a tag merely cut short by a
-// window boundary (streamNeedMore).
+// indexer distinguish it from a tag merely cut short by a window
+// boundary (streamNeedMore).
 func classifyStartTag(data []byte, off int, lookup func([]byte) (int32, bool)) (Entry, streamStatus) {
 	e := Entry{Off: off, Sym: -1, Kind: Start}
 	i := off + 1
@@ -365,130 +391,4 @@ func isNameByte(c byte) bool {
 		'0' <= c && c <= '9' ||
 		c == '_' || c == ':' || c == '.' || c == '-' ||
 		c >= 0x80
-}
-
-// stitch merges the per-chunk speculative entries into ix.Entries,
-// dropping entries invalidated by constructs that span chunk cuts,
-// rescanning desynchronised regions, assigning absolute depths, and
-// locating the root element.
-func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize int, opts Options) error {
-	maxTok := opts.MaxTokenSize
-	cursor := 0
-	runStart := 0 // end of the last accepted construct: text-run origin
-	depth := int32(0)
-	rootClosed := false
-
-	accept := func(e Entry) error {
-		if maxTok > 0 {
-			if gap := e.Off - runStart; gap > maxTok {
-				return fmt.Errorf("%w (%d-byte text run)", ErrTokenTooLong, gap)
-			}
-			if ln := e.End - e.Off; ln > maxTok {
-				return fmt.Errorf("%w (%d-byte construct)", ErrTokenTooLong, ln)
-			}
-		}
-		e.Depth = depth
-		switch e.Kind {
-		case Start:
-			if depth == 0 {
-				if ix.RootStart >= 0 {
-					return fmt.Errorf("%w: content after the root element", ErrStructure)
-				}
-				ix.RootStart = len(ix.Entries)
-			}
-			depth++
-		case StartEmpty:
-			if depth == 0 {
-				// An empty-element root (or a second root): tiny content
-				// either way, not worth fragmenting.
-				return fmt.Errorf("%w: empty-element tag at depth 0", ErrStructure)
-			}
-		case End:
-			if depth == 0 {
-				return fmt.Errorf("%w: unbalanced end tag", ErrStructure)
-			}
-			// An End records the depth of the element it closes, so an
-			// element's Start and End entries carry the same Depth.
-			depth--
-			e.Depth = depth
-			if depth == 0 {
-				ix.RootEnd = len(ix.Entries)
-				rootClosed = true
-			}
-		}
-		ix.Entries = append(ix.Entries, e)
-		runStart = e.End
-		return nil
-	}
-
-	for ci := range chunks {
-		from := ci * chunkSize
-		to := from + chunkSize
-		if to > len(data) {
-			to = len(data)
-		}
-		ents := chunks[ci]
-		stop := to
-		if anoms[ci] >= 0 {
-			stop = anoms[ci]
-		}
-		i := 0
-		for {
-			for i < len(ents) && ents[i].Off < cursor {
-				i++
-			}
-			if cursor >= to {
-				break
-			}
-			// Is the cursor on ground this worker verified as text (no
-			// '<' between the previous construct end and the next entry)?
-			gapStart := from
-			if i > 0 {
-				gapStart = ents[i-1].End
-			}
-			if i < len(ents) {
-				if cursor >= gapStart {
-					if err := accept(ents[i]); err != nil {
-						return err
-					}
-					cursor = ents[i].End
-					i++
-					continue
-				}
-			} else if cursor >= gapStart && cursor <= stop {
-				if stop == to {
-					cursor = to
-					break // verified text to the chunk edge
-				}
-				// Verified up to the worker's anomaly: fall through to
-				// rescan at it (classification will fail the same way).
-				cursor = stop
-			}
-			// Desynchronised (or at an anomaly): rescan serially until the
-			// cursor lands back on verified ground.
-			j := bytes.IndexByte(data[cursor:], '<')
-			if j < 0 {
-				cursor = len(data)
-				break
-			}
-			e, ok := classifyAt(data, cursor+j, opts.Lookup)
-			if !ok {
-				return fmt.Errorf("%w: unclassifiable construct at byte %d", ErrStructure, cursor+j)
-			}
-			if err := accept(e); err != nil {
-				return err
-			}
-			cursor = e.End
-		}
-	}
-	if maxTok > 0 && len(data)-runStart > maxTok {
-		return fmt.Errorf("%w (%d-byte text run)", ErrTokenTooLong, len(data)-runStart)
-	}
-	if depth != 0 {
-		return fmt.Errorf("%w: %d unterminated element(s)", ErrStructure, depth)
-	}
-	if ix.RootStart < 0 || !rootClosed {
-		return fmt.Errorf("%w: no root element", ErrStructure)
-	}
-	return nil
 }

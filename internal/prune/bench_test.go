@@ -98,9 +98,9 @@ func benchGather(b *testing.B, eng Engine, pi dtd.NameSet, validate bool) {
 // within ~25% of the unvalidated one (dense DFAs keep validation on the
 // raw-copy and skip-scan fast paths).
 //
-// The parallel cases measure the two-stage intra-document pruner; the
-// pipelined cases measure the windowed read→index→prune→emit pipeline
-// over an unsized reader (its realistic input shape); the auto cases
+// The parallel cases measure the parallel pruner over resident
+// windows; the pipelined cases measure it over an unsized reader (its
+// realistic input shape), read→index→prune→emit; the auto cases
 // measure EngineAuto's selection overhead — on a single-CPU host auto
 // resolves to the serial scanner and must stay within ~5% of it (the
 // cost of one size probe).

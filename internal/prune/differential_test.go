@@ -37,12 +37,13 @@ func mustDTD(t *testing.T) *dtd.DTD {
 
 // parallelVariants are the EngineParallel configurations every
 // differential corpus additionally runs under: single worker, several
-// workers with an adversarial stage-1 chunk size that cuts mid-tag, and
-// a tiny fragment target that forces many splice points on even the
-// smallest documents.
+// workers with adversarial resident windows that cut mid-tag (one-byte
+// windows put an edge at every offset), and a tiny fragment target
+// that forces many splice points on even the smallest documents.
 var parallelVariants = []StreamOptions{
 	{Engine: EngineParallel, ParallelWorkers: 1},
-	{Engine: EngineParallel, ParallelWorkers: 4, ParallelChunkSize: 3},
+	{Engine: EngineParallel, ParallelWorkers: 4, PipelineWindowSize: 3, ParallelFragTarget: 1},
+	{Engine: EngineParallel, ParallelWorkers: 2, PipelineWindowSize: 1, ParallelFragTarget: 16},
 	{Engine: EngineParallel, ParallelWorkers: 3, ParallelFragTarget: 64},
 }
 
@@ -344,9 +345,10 @@ func TestStreamMaxTokenSize(t *testing.T) {
 }
 
 // TestParallelEngineAdversarialChunks sweeps worker counts against
-// stage-1 chunk sizes down to a single byte — every cut lands mid-tag,
-// mid-CDATA or mid-comment somewhere in the corpus — and requires the
-// parallel engine to match the serial scanner byte for byte.
+// resident window sizes down to a single byte — window edges land at
+// every offset, mid-tag, mid-CDATA or mid-comment — and fragment
+// targets, and requires the parallel engine to match the serial
+// scanner byte for byte.
 func TestParallelEngineAdversarialChunks(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
@@ -354,28 +356,28 @@ func TestParallelEngineAdversarialChunks(t *testing.T) {
 		var sb strings.Builder
 		sst, serr := Stream(&sb, strings.NewReader(doc), d, pi, StreamOptions{Engine: EngineScanner})
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, chunk := range []int{1, 2, 5} {
+			for _, win := range []int{1, 2, 5, 64} {
 				var pb strings.Builder
 				pst, perr := Stream(&pb, strings.NewReader(doc), d, pi, StreamOptions{
 					Engine:             EngineParallel,
 					ParallelWorkers:    workers,
-					ParallelChunkSize:  chunk,
-					ParallelFragTarget: 1,
+					PipelineWindowSize: win,
+					ParallelFragTarget: 1 + win%3,
 				})
 				if (serr == nil) != (perr == nil) {
-					t.Fatalf("w=%d chunk=%d: verdicts diverge: scanner=%v parallel=%v\ninput: %q",
-						workers, chunk, serr, perr, doc)
+					t.Fatalf("w=%d win=%d: verdicts diverge: scanner=%v parallel=%v\ninput: %q",
+						workers, win, serr, perr, doc)
 				}
 				if serr != nil {
 					continue
 				}
 				if pb.String() != sb.String() {
-					t.Fatalf("w=%d chunk=%d: output diverges\nscanner:  %q\nparallel: %q\ninput: %q",
-						workers, chunk, sb.String(), pb.String(), doc)
+					t.Fatalf("w=%d win=%d: output diverges\nscanner:  %q\nparallel: %q\ninput: %q",
+						workers, win, sb.String(), pb.String(), doc)
 				}
 				if pst != sst {
-					t.Fatalf("w=%d chunk=%d: stats diverge\nscanner:  %+v\nparallel: %+v",
-						workers, chunk, sst, pst)
+					t.Fatalf("w=%d win=%d: stats diverge\nscanner:  %+v\nparallel: %+v",
+						workers, win, sst, pst)
 				}
 			}
 		}
@@ -383,8 +385,8 @@ func TestParallelEngineAdversarialChunks(t *testing.T) {
 }
 
 // TestParallelEngineMaxTokenSize: the oversized token is caught by the
-// stage-1 index bound — before any fragment worker would buffer it —
-// not by a fallback to the serial scanner.
+// indexer's bound — before any fragment worker would work on it — not
+// by a fallback to the serial scanner.
 func TestParallelEngineMaxTokenSize(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
@@ -399,7 +401,7 @@ func TestParallelEngineMaxTokenSize(t *testing.T) {
 		t.Fatalf("capped parallel prune: want ErrTokenTooLong, got %v", err)
 	}
 	if det.Fallback {
-		t.Fatal("oversized token should fail in the index stage, not via serial fallback")
+		t.Fatal("oversized token should fail in the indexer, not via serial fallback")
 	}
 	sb.Reset()
 	if _, err := Stream(&sb, strings.NewReader(big), d, pi, StreamOptions{Engine: EngineParallel, Detail: &det}); err != nil {
@@ -580,20 +582,66 @@ func TestStreamTortureReaders(t *testing.T) {
 	}
 }
 
-// TestStreamAutoSniffsUTF16 routes byte-order-marked input to the
-// decoder path, which rejects it as an unhandled charset rather than
-// tripping the byte scanner on binary noise.
+// memSource is an in-memory reader that exposes its bytes, so Stream
+// takes the StreamBytes path.
+type memSource struct{ *bytes.Reader }
+
+func (m memSource) InputBytes() []byte {
+	b := make([]byte, m.Len())
+	m.ReadAt(b, 0)
+	return b
+}
+
+// TestStreamAutoSniffsUTF16: input that sniffs as UTF-16 or UTF-32 —
+// with a byte-order mark or without — fails up front with
+// ErrUnsupportedEncoding on every engine and entry point (reader and
+// in-memory streams, gathers, the shared-scan multi-prune), rather
+// than reaching a tokenizer that could only fail on it as invalid
+// UTF-8. The forced decoder reference still rejects it its own way.
 func TestStreamAutoSniffsUTF16(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib")
-	utf16 := []byte{0xFE, 0xFF}
-	for _, r := range "<bib/>" {
-		utf16 = append(utf16, 0x00, byte(r))
+	utf16 := func(bom []byte, le bool) []byte {
+		b := append([]byte(nil), bom...)
+		for _, r := range "<bib/>" {
+			if le {
+				b = append(b, byte(r), 0x00)
+			} else {
+				b = append(b, 0x00, byte(r))
+			}
+		}
+		return b
 	}
-	var sb strings.Builder
-	_, err := Stream(&sb, bytes.NewReader(utf16), d, pi, StreamOptions{})
-	if err == nil {
-		t.Fatal("UTF-16 input unexpectedly accepted")
+	inputs := map[string][]byte{
+		"utf-16be bom":    utf16([]byte{0xFE, 0xFF}, false),
+		"utf-16le bom":    utf16([]byte{0xFF, 0xFE}, true),
+		"utf-16be no bom": utf16(nil, false),
+		"utf-16le no bom": utf16(nil, true),
+		"utf-32be bom":    append([]byte{0x00, 0x00, 0xFE, 0xFF}, 0, 0, 0, '<'),
+	}
+	for name, in := range inputs {
+		for _, eng := range []Engine{EngineAuto, EngineScanner, EngineParallel, EnginePipelined} {
+			opts := StreamOptions{Engine: eng}
+			if _, err := Stream(io.Discard, bytes.NewReader(in), d, pi, opts); !errors.Is(err, ErrUnsupportedEncoding) {
+				t.Errorf("%s: Stream (reader, engine %d): got %v", name, eng, err)
+			}
+			if _, err := Stream(io.Discard, memSource{bytes.NewReader(in)}, d, pi, opts); !errors.Is(err, ErrUnsupportedEncoding) {
+				t.Errorf("%s: Stream (in memory, engine %d): got %v", name, eng, err)
+			}
+			if g, _, err := StreamGather(in, d, pi, opts); !errors.Is(err, ErrUnsupportedEncoding) || g != nil {
+				t.Errorf("%s: StreamGather (engine %d): got %v", name, eng, err)
+			}
+		}
+		gathers, _, errs := StreamMultiGather(in, d, []dtd.NameSet{pi, dtd.NewNameSet("bib", "book")}, MultiOptions{})
+		for j := range errs {
+			if !errors.Is(errs[j], ErrUnsupportedEncoding) || gathers[j] != nil {
+				t.Errorf("%s: StreamMultiGather projector %d: got %v", name, j, errs[j])
+			}
+		}
+		_, err := Stream(io.Discard, bytes.NewReader(in), d, pi, StreamOptions{Engine: EngineDecoder})
+		if err == nil || errors.Is(err, ErrUnsupportedEncoding) {
+			t.Errorf("%s: forced decoder: got %v, want its own rejection", name, err)
+		}
 	}
 }
 
@@ -621,8 +669,8 @@ func FuzzStreamDifferential(f *testing.F) {
 	f.Add(`<bib><book><title>T</title><author>A</author></book></bib>`, uint16(0))
 	f.Add(`<bib><book isbn="1" lang="de"><title>T</title><author>A</author></book></bib>`, uint16(8))
 	f.Add(`<bib><book isbn="1"/></bib>`, uint16(2))
-	// Chunk sizes chosen so a stage-1 cut straddles a tag, a CDATA
-	// terminator, a comment close and an entity reference.
+	// Window sizes chosen so a resident window edge straddles a tag, a
+	// CDATA terminator, a comment close and an entity reference.
 	f.Add(`<bib><book isbn="1"><title><![CDATA[a]]b]]></title><author>A</author></book></bib>`, uint16(13))
 	f.Add(`<bib><!-- straddle --><book isbn="1"><title>t</title><author>&#x41;</author></book></bib>`, uint16(10))
 	f.Add(`<bib><book isbn='s'><title>a</title><author>b</author></book><book isbn="t"><title>c</title><author>d</author></book></bib>`, uint16(17))
@@ -679,16 +727,18 @@ func FuzzStreamDifferential(f *testing.F) {
 				}
 			}
 		}
-		// The fuzzed chunk doubles as the pipelined window size (clamped
-		// up to the engine's floor internally), so window boundaries land
-		// wherever the fuzzer steers them.
+		// The fuzzed chunk doubles as the window size of both sources:
+		// reader windows (clamped up to the slab floor internally) and
+		// resident windows (small enough that their edges land wherever
+		// the fuzzer steers them on short inputs).
 		fuzzWin := 256 + int(chunk)
+		resWin := 1 + int(chunk)%64
 		if serr != nil {
 			var pb strings.Builder
 			if _, perr := Stream(&pb, strings.NewReader(src), d, pi, StreamOptions{
-				Engine: EngineParallel, ParallelWorkers: 4, ParallelChunkSize: int(chunk), ParallelFragTarget: 1,
+				Engine: EngineParallel, ParallelWorkers: 4, PipelineWindowSize: resWin, ParallelFragTarget: 1,
 			}); perr == nil {
-				t.Fatalf("parallel engine accepted input the scanner rejects (chunk=%d): %q", chunk, src)
+				t.Fatalf("parallel engine accepted input the scanner rejects (win=%d): %q", resWin, src)
 			}
 			var plb strings.Builder
 			if _, perr := Stream(&plb, strings.NewReader(src), d, pi, StreamOptions{
@@ -719,7 +769,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		if sverr == nil && sv.String() != dv.String() {
 			t.Fatalf("engines disagree on validated output\nscanner: %q\ndecoder: %q", sv.String(), dv.String())
 		}
-		// The parallel engine, under the fuzzed stage-1 chunk size and a
+		// The parallel engine, under the fuzzed resident window size and a
 		// fragment target that forces splices, must match the scanner's
 		// verdict, bytes and stats — validated and not. The span-gather
 		// emitter must match on the same grid, serial and parallel.
@@ -732,14 +782,14 @@ func FuzzStreamDifferential(f *testing.F) {
 				Validate:           validate,
 				Engine:             EngineParallel,
 				ParallelWorkers:    4,
-				ParallelChunkSize:  int(chunk),
+				PipelineWindowSize: resWin,
 				ParallelFragTarget: 1,
 			}
 			var pb strings.Builder
 			pst, perr := Stream(&pb, strings.NewReader(src), d, pi, popts)
 			if (wantErr == nil) != (perr == nil) {
-				t.Fatalf("parallel engine disagrees on acceptance (validate=%v, chunk=%d)\nscanner:  %v\nparallel: %v",
-					validate, chunk, wantErr, perr)
+				t.Fatalf("parallel engine disagrees on acceptance (validate=%v, win=%d)\nscanner:  %v\nparallel: %v",
+					validate, resWin, wantErr, perr)
 			}
 			checkGather(t, "serial", src, d, pi,
 				StreamOptions{Validate: validate, Engine: EngineScanner}, wantErr == nil, wantOut, wantStats)
@@ -769,12 +819,12 @@ func FuzzStreamDifferential(f *testing.F) {
 					validate, fuzzWin, wantStats, plst)
 			}
 			if pb.String() != wantOut {
-				t.Fatalf("parallel engine disagrees on output (validate=%v, chunk=%d)\nscanner:  %q\nparallel: %q",
-					validate, chunk, wantOut, pb.String())
+				t.Fatalf("parallel engine disagrees on output (validate=%v, win=%d)\nscanner:  %q\nparallel: %q",
+					validate, resWin, wantOut, pb.String())
 			}
-			if !validate && pst != wantStats {
-				t.Fatalf("parallel engine disagrees on stats (chunk=%d)\nscanner:  %+v\nparallel: %+v",
-					chunk, wantStats, pst)
+			if pst != wantStats {
+				t.Fatalf("parallel engine disagrees on stats (validate=%v, win=%d)\nscanner:  %+v\nparallel: %+v",
+					validate, resWin, wantStats, pst)
 			}
 		}
 	})

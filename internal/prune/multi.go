@@ -51,8 +51,8 @@ type MultiOptions struct {
 // serial run). The caller must Close every non-nil Gather; data must
 // stay alive and unmodified until then.
 //
-// Non-UTF-8 input falls back to one decoder-path StreamGather per
-// projector — correct, but without the shared-scan saving.
+// Input that sniffs as UTF-16/32 fails every projector with
+// ErrUnsupportedEncoding.
 func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOptions) ([]*Gather, []Stats, []error) {
 	n := len(pis)
 	gathers := make([]*Gather, n)
@@ -66,10 +66,7 @@ func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOpt
 		return gathers, stats, errs
 	}
 	if looksNonUTF8(data) {
-		sopts := StreamOptions{Validate: opts.Validate, Engine: EngineDecoder, MaxTokenSize: opts.MaxTokenSize, Ctx: opts.Ctx}
-		for j, pi := range pis {
-			gathers[j], stats[j], errs[j] = StreamGather(data, d, pi, sopts)
-		}
+		fillErr(errs, 0, n, ErrUnsupportedEncoding)
 		return gathers, stats, errs
 	}
 	projs := make([]*dtd.Projection, n)

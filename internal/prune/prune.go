@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -113,45 +114,45 @@ func (st *Stats) fold(sst scan.Stats) {
 type Engine int
 
 const (
-	// EngineAuto picks the byte-level scanner for UTF-8 input and falls
-	// back to encoding/xml when the first bytes look like a UTF-16/32
-	// document. This is the default.
+	// EngineAuto picks the byte-level scanner, or one of the parallel
+	// engines for large input on multi-CPU hosts. This is the default.
 	EngineAuto Engine = iota
 	// EngineScanner forces the byte-level scanner (internal/scan).
 	EngineScanner
 	// EngineDecoder forces the encoding/xml token path. It is the
 	// reference implementation: the scanner's output and stats are
-	// differentially tested against it.
+	// differentially tested against it. It is the only engine that does
+	// not reject UTF-16/32 input up front (it fails on it later).
 	EngineDecoder
-	// EngineParallel forces the two-stage parallel pruner: a parallel
-	// structural index over byte chunks, concurrent fragment pruning,
-	// and a sequential splice pass — byte-identical output and identical
-	// verdicts to EngineScanner. The whole input is buffered in memory.
-	// EngineAuto selects it for large inputs of known size when more
-	// than one CPU is available.
+	// EngineParallel forces the parallel pruner over resident input:
+	// the whole input is held in memory (reader input is buffered
+	// first) and cut into windows as sub-slices, so nothing is copied;
+	// an incremental structural index plans each window, fragment
+	// workers prune its ranges concurrently, and an in-order spine pass
+	// splices them — byte-identical output and identical verdicts to
+	// EngineScanner. EngineAuto selects it for large in-memory inputs
+	// when more than one CPU is available.
 	EngineParallel
-	// EnginePipelined forces the pipelined streaming parallel pruner:
-	// reading, incremental structural indexing, concurrent fragment
-	// pruning and in-order emission overlap in a bounded ring of window
-	// buffers, so memory stays at ring × window bytes however large the
-	// document — with byte-identical output and identical verdicts to
-	// EngineScanner. EngineAuto selects it for UTF-8 readers — unknown
-	// size, or known size past a threshold — when more than one CPU is
-	// available.
+	// EnginePipelined forces the same parallel pruner over a reader:
+	// reading, indexing, fragment pruning and in-order emission overlap
+	// in a bounded ring of window buffers, so memory stays at ring ×
+	// window bytes however large the document. EngineAuto selects it for
+	// UTF-8 readers — unknown size, or known size past a threshold —
+	// when more than one CPU is available.
 	EnginePipelined
 )
 
 // ParallelDetail reports how an EngineParallel prune executed.
 type ParallelDetail struct {
-	// IndexTime, PruneTime and StitchTime are the wall times of the
-	// structural-index stage, the concurrent fragment stage, and the
-	// sequential splice pass.
+	// IndexTime is the incremental index+plan time, PruneTime the summed
+	// fragment-worker time, and StitchTime the spine's in-order
+	// splice-and-emit pass.
 	IndexTime, PruneTime, StitchTime time.Duration
 	// Workers is the resolved worker count; Tasks the number of content
 	// ranges pruned concurrently.
 	Workers, Tasks int
 	// Fallback reports that the input was handed to the serial scanner
-	// (structure the index cannot describe, or a tiny token cap).
+	// (a token cap too small for the parallel invariants).
 	Fallback bool
 }
 
@@ -171,6 +172,12 @@ type PipelineDetail struct {
 	// (a token cap too small for the parallel invariants).
 	Fallback bool
 }
+
+// ErrUnsupportedEncoding reports input whose first bytes look like
+// UTF-16 or UTF-32 (a byte-order mark, or '<' paired with a zero byte).
+// Only UTF-8 input is supported; every engine but the EngineDecoder
+// reference rejects such input before pruning anything.
+var ErrUnsupportedEncoding = errors.New("prune: unsupported encoding: input looks like UTF-16 or UTF-32; only UTF-8 is supported")
 
 // parallelMinBytes is the input size below which EngineAuto does not
 // bother with the parallel pruner.
@@ -200,17 +207,16 @@ type StreamOptions struct {
 	// pair instead of once per document. It must have been compiled from
 	// the same DTD and π passed to Stream.
 	Projection *dtd.Projection
-	// ParallelWorkers bounds EngineParallel's concurrency (0 means
-	// GOMAXPROCS); ParallelChunkSize and ParallelFragTarget override the
-	// stage-1 chunk granularity and the per-fragment target size.
+	// ParallelWorkers bounds the parallel engines' concurrency (0 means
+	// GOMAXPROCS); ParallelFragTarget overrides the per-fragment target
+	// size.
 	ParallelWorkers    int
-	ParallelChunkSize  int
 	ParallelFragTarget int
-	// PipelineWindowSize and PipelineRingDepth configure EnginePipelined:
-	// the window buffer size and the number of windows in flight. Peak
-	// input-side memory is their product. Zero means the engine defaults
-	// (1 MiB windows, workers+2 ring). ParallelWorkers and
-	// ParallelFragTarget apply to the pipelined engine too.
+	// PipelineWindowSize is the number of fresh input bytes each window
+	// of EngineParallel and EnginePipelined adds, and PipelineRingDepth
+	// the number of windows in flight; EnginePipelined's peak input-side
+	// memory is their product. Zero means the engine defaults (1 MiB
+	// windows, workers+2 ring).
 	PipelineWindowSize int
 	PipelineRingDepth  int
 	// Detail, when non-nil, receives per-stage execution details of an
@@ -242,7 +248,8 @@ type StreamOptions struct {
 // closure lies inside π are copied through verbatim — with or without
 // validation, which rides along on the dense content-model DFAs. Output
 // is byte-identical to the encoding/xml path, which is kept as the
-// fallback for non-UTF-8 input and as the testing oracle.
+// testing oracle. Input that sniffs as UTF-16/32 fails up front with
+// ErrUnsupportedEncoding.
 //
 // A src implementing BytesSource (an mmap'd file, a buffered request
 // body) is never read: the prune switches to the in-memory fast paths
@@ -271,7 +278,10 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 			return stats, fmt.Errorf("prune: %w", err)
 		}
 	}
-	eng := resolveBytesEngine(data, opts)
+	eng, err := resolveBytesEngine(data, opts)
+	if err != nil {
+		return stats, err
+	}
 	if eng == EngineDecoder {
 		// The reference path tokenizes through a reader; in-memory input
 		// is simply a reader that never refills.
@@ -297,11 +307,10 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 		proj = d.CompileProjection(pi)
 	}
 	var sst scan.Stats
-	var err error
 	switch eng {
 	case EngineParallel:
-		var det scan.ParallelDetail
-		sst, det, err = scan.PruneParallel(bw, data, d, proj, parallelOptsOf(opts))
+		var det scan.PipelineDetail
+		sst, det, err = scan.PruneParallel(bw, data, d, proj, pipelineOptsOf(opts))
 		setDetail(opts, det)
 	case EnginePipelined:
 		// Forced pipelined over in-memory input: stream it. (EngineAuto
@@ -376,9 +385,9 @@ func (g *Gather) Close() error {
 // writes straight out of data. The rendered output is byte-identical
 // to Stream's, and stats match it (BytesOut is the rendered size).
 //
-// Engine selection follows StreamBytes; non-UTF-8 input runs the
-// decoder reference path, materialised into the escape buffer as one
-// segment. MaxTokenSize is not enforced on the in-memory scanner paths
+// Engine selection follows StreamBytes; a forced EngineDecoder runs the
+// reference path, materialised into the escape buffer as one segment.
+// MaxTokenSize is not enforced on the in-memory scanner paths
 // (see StreamBytes). On error no Gather is returned (partial output is
 // discarded, unlike the streaming paths which have already written
 // it). The caller must Close the returned Gather.
@@ -389,15 +398,18 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 			return nil, stats, fmt.Errorf("prune: %w", err)
 		}
 	}
-	g := gatherPool.Get().(*Gather)
-	g.closed = false
-	eng := resolveBytesEngine(data, opts)
+	eng, err := resolveBytesEngine(data, opts)
+	if err != nil {
+		return nil, stats, err
+	}
 	if eng == EnginePipelined {
-		// Gather output spans the whole resident input; the pipeline's
-		// windowed streaming buys nothing here. Run the batch parallel
-		// pruner, which produces the same bytes.
+		// Gather output spans the whole resident input; the reader
+		// source's slab copies buy nothing here. Run the resident source,
+		// which produces the same bytes.
 		eng = EngineParallel
 	}
+	g := gatherPool.Get().(*Gather)
+	g.closed = false
 	if eng == EngineDecoder {
 		g.sl.Reset(data)
 		ropts := opts
@@ -417,10 +429,9 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		proj = d.CompileProjection(pi)
 	}
 	var sst scan.Stats
-	var err error
 	if eng == EngineParallel {
-		var det scan.ParallelDetail
-		sst, det, err = scan.PruneParallelGather(g.sl, data, d, proj, parallelOptsOf(opts))
+		var det scan.PipelineDetail
+		sst, det, err = scan.PruneParallelGather(g.sl, data, d, proj, pipelineOptsOf(opts))
 		setDetail(opts, det)
 	} else {
 		sst, err = scan.PruneGather(g.sl, data, d, proj, scanOptsOf(opts))
@@ -434,20 +445,20 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	return g, stats, nil
 }
 
-// resolveBytesEngine picks the engine for in-memory input: non-UTF-8
-// heads sniff to the decoder; inputs worth splitting go parallel.
-func resolveBytesEngine(data []byte, opts StreamOptions) Engine {
+// resolveBytesEngine picks the engine for in-memory input: inputs
+// worth splitting go parallel. UTF-16/32 input is rejected for every
+// engine but the decoder reference.
+func resolveBytesEngine(data []byte, opts StreamOptions) (Engine, error) {
 	eng := opts.Engine
-	if eng != EngineAuto {
-		return eng
-	}
 	switch {
-	case looksNonUTF8(data):
-		return EngineDecoder
+	case eng != EngineDecoder && looksNonUTF8(data):
+		return eng, ErrUnsupportedEncoding
+	case eng != EngineAuto:
+		return eng, nil
 	case len(data) >= parallelMinBytes && runtime.GOMAXPROCS(0) > 1 && opts.ParallelWorkers != 1:
-		return EngineParallel
+		return EngineParallel, nil
 	default:
-		return EngineScanner
+		return EngineScanner, nil
 	}
 }
 
@@ -456,15 +467,6 @@ func scanOptsOf(opts StreamOptions) scan.Options {
 		Validate:     opts.Validate,
 		RawCopy:      true,
 		MaxTokenSize: opts.MaxTokenSize,
-	}
-}
-
-func parallelOptsOf(opts StreamOptions) scan.ParallelOptions {
-	return scan.ParallelOptions{
-		Options:    scanOptsOf(opts),
-		Workers:    opts.ParallelWorkers,
-		ChunkSize:  opts.ParallelChunkSize,
-		FragTarget: opts.ParallelFragTarget,
 	}
 }
 
@@ -494,12 +496,13 @@ func setPipeDetail(opts StreamOptions, det scan.PipelineDetail) {
 	}
 }
 
-func setDetail(opts StreamOptions, det scan.ParallelDetail) {
+// setDetail reports a resident-source prune as EngineParallel's stages.
+func setDetail(opts StreamOptions, det scan.PipelineDetail) {
 	if opts.Detail != nil {
 		*opts.Detail = ParallelDetail{
 			IndexTime:  time.Duration(det.IndexNanos),
 			PruneTime:  time.Duration(det.PruneNanos),
-			StitchTime: time.Duration(det.StitchNanos),
+			StitchTime: time.Duration(det.EmitNanos),
 			Workers:    det.Workers,
 			Tasks:      det.Tasks,
 			Fallback:   det.Fallback,
@@ -522,13 +525,16 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 	// The input size must be probed before the sniff below wraps src in a
 	// MultiReader that hides the concrete reader type.
 	size, sizeKnown := inputSize(src)
-	if eng == EngineAuto {
+	if eng != EngineDecoder {
 		var hdr [4]byte
 		n, _ := io.ReadFull(src, hdr[:])
+		if looksNonUTF8(hdr[:n]) {
+			return stats, ErrUnsupportedEncoding
+		}
 		src = io.MultiReader(bytes.NewReader(hdr[:n]), src)
+	}
+	if eng == EngineAuto {
 		switch {
-		case looksNonUTF8(hdr[:n]):
-			eng = EngineDecoder
 		case runtime.GOMAXPROCS(0) > 1 && opts.ParallelWorkers != 1 &&
 			(!sizeKnown || size >= pipelineMinBytes):
 			// A worker budget of exactly 1 (a batch or server already
@@ -546,61 +552,41 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 	if opts.Chosen != nil {
 		*opts.Chosen = eng
 	}
-	if eng == EnginePipelined {
+	if eng != EngineDecoder {
 		proj := opts.Projection
 		if proj == nil {
 			proj = d.CompileProjection(pi)
 		}
-		sst, det, err := scan.PrunePipelined(bw, src, d, proj, pipelineOptsOf(opts))
-		setPipeDetail(opts, det)
+		var sst scan.Stats
+		var err error
+		switch eng {
+		case EnginePipelined:
+			var det scan.PipelineDetail
+			sst, det, err = scan.PrunePipelined(bw, src, d, proj, pipelineOptsOf(opts))
+			setPipeDetail(opts, det)
+		case EngineParallel:
+			// The resident source needs the whole input in memory.
+			buf := inputPool.Get().(*bytes.Buffer)
+			buf.Reset()
+			if sizeKnown && size > 0 && size < int64(int(^uint(0)>>1)) {
+				buf.Grow(int(size))
+			}
+			if _, err = buf.ReadFrom(src); err == nil {
+				var det scan.PipelineDetail
+				sst, det, err = scan.PruneParallel(bw, buf.Bytes(), d, proj, pipelineOptsOf(opts))
+				setDetail(opts, det)
+			}
+			if buf.Cap() <= maxPooledInput {
+				inputPool.Put(buf)
+			}
+		default:
+			sst, err = scan.Prune(bw, src, d, proj, scanOptsOf(opts))
+		}
 		stats.fold(sst)
+		if err == nil {
+			err = bw.Flush()
+		}
 		if err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		return stats, nil
-	}
-	if eng == EngineParallel {
-		proj := opts.Projection
-		if proj == nil {
-			proj = d.CompileProjection(pi)
-		}
-		buf := inputPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if sizeKnown && size > 0 && size < int64(int(^uint(0)>>1)) {
-			buf.Grow(int(size))
-		}
-		if _, rerr := buf.ReadFrom(src); rerr != nil {
-			inputPool.Put(buf)
-			return stats, fmt.Errorf("prune: %w", rerr)
-		}
-		sst, det, err := scan.PruneParallel(bw, buf.Bytes(), d, proj, parallelOptsOf(opts))
-		if buf.Cap() <= maxPooledInput {
-			inputPool.Put(buf)
-		}
-		setDetail(opts, det)
-		stats.fold(sst)
-		if err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		return stats, nil
-	}
-	if eng == EngineScanner {
-		proj := opts.Projection
-		if proj == nil {
-			proj = d.CompileProjection(pi)
-		}
-		sst, err := scan.Prune(bw, src, d, proj, scanOptsOf(opts))
-		stats.fold(sst)
-		if err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
 			return stats, fmt.Errorf("prune: %w", err)
 		}
 		return stats, nil
@@ -856,9 +842,8 @@ func allSpace(b []byte) bool {
 }
 
 // looksNonUTF8 sniffs the first bytes for UTF-16/32 byte-order marks or
-// null-padded '<' patterns; such documents go to the encoding/xml path
-// (which itself rejects undeclared non-UTF-8 encodings, matching the
-// scanner). UTF-8 declarations and the UTF-8 BOM stay on the scanner.
+// null-padded '<' patterns; such documents fail with
+// ErrUnsupportedEncoding. UTF-8 declarations and the UTF-8 BOM pass.
 func looksNonUTF8(h []byte) bool {
 	if len(h) >= 2 {
 		if (h[0] == 0xFE && h[1] == 0xFF) || (h[0] == 0xFF && h[1] == 0xFE) {

@@ -1,23 +1,24 @@
 package scan
 
 // Parallel-prune fragments and splices. A parallel prune (see
-// parallel.go) cuts the document's content into byte ranges at element
+// pipeline.go) cuts the document's content into byte ranges at element
 // tag boundaries; worker pruners process each range concurrently, and
-// the serial "spine" pruner — running over the whole document — splices
-// each range's pre-computed result in at its cut point instead of
-// re-scanning the bytes. The cut rule (a range starts and ends at an
-// element tag, never inside text, at a comment, or mid-construct)
-// guarantees logical text runs never span a cut: the serial pruner
-// flushes a pending run exactly at element tags, so a fragment flushing
-// at its EOF reproduces the flush the spine would have done at the tag
-// that follows the range.
+// the serial "spine" pruner — running over the document window by
+// window — splices each range's pre-computed result in at its cut
+// point instead of re-scanning the bytes. The cut rule (a range starts
+// and ends at an element tag, never inside text, at a comment, or
+// mid-construct) guarantees logical text runs never span a cut: the
+// serial pruner flushes a pending run exactly at element tags, so a
+// fragment flushing at its EOF reproduces the flush the spine would
+// have done at the tag that follows the range.
 
 import (
 	"fmt"
 )
 
-// fragTask is one delegated content range [lo, hi) of the document.
+// fragTask is one delegated content range data[lo:hi].
 type fragTask struct {
+	data   []byte // the window's backing bytes
 	lo, hi int
 	// skip marks a range inside a discarded subtree: processed for
 	// well-formedness and stats only, with no output and no events.
@@ -27,20 +28,18 @@ type fragTask struct {
 	ctxSym  int32
 	ctxBase int
 
-	// ready, when non-nil, is closed by the worker once res is
-	// populated; the spine blocks on it before splicing. The batch
-	// parallel pruner leaves it nil — there the worker pool is joined
-	// before the spine starts. The pipelined pruner overlaps the two
-	// and needs the per-task handshake.
+	// ready is closed by the worker once res is populated; the spine
+	// blocks on it before splicing, so the two overlap.
 	ready chan struct{}
 
 	res fragResult
 }
 
 // fragResult is what a worker produced for one range. Output is a
-// span-gather list over the whole document (workers scan with absolute
-// offsets via ResetBytesAt), so the spine folds it in by concatenation
-// — or, on the streaming path, with a single copy out of the input.
+// span-gather list over the window's backing bytes (workers scan with
+// absolute offsets via ResetBytesAt), so the spine folds it in by
+// concatenation — or, on the streaming path, with a single copy out of
+// the input.
 type fragResult struct {
 	st     Stats
 	events []int32
@@ -70,9 +69,7 @@ func (sp *spliceSet) at(pos int) bool {
 func (pr *pruner) applySplice() error {
 	t := pr.sp.tasks[pr.sp.i]
 	pr.sp.i++
-	if t.ready != nil {
-		<-t.ready
-	}
+	<-t.ready
 	if err := pr.flushText(); err != nil {
 		return err
 	}
@@ -113,9 +110,7 @@ func (pr *pruner) applySplice() error {
 func (pr *pruner) applySkipSplice() error {
 	t := pr.sp.tasks[pr.sp.i]
 	pr.sp.i++
-	if t.ready != nil {
-		<-t.ready
-	}
+	<-t.ready
 	pr.foldStats(&t.res.st)
 	if t.res.err != nil {
 		return t.res.err
@@ -157,9 +152,9 @@ func (pr *pruner) runFragment(ctxSym int32, ctxBase int) error {
 // skipScan's exact semantics — full well-formedness checks, skipped
 // element and logical-text-run counting, nothing materialised — but
 // terminated by the end of the range instead of by the subtree's end
-// tag. Structure stage 1 verified guarantees the range holds complete,
-// balanced constructs, so no end tag here can close an element opened
-// outside the range.
+// tag. The indexer's verified structure guarantees the range holds
+// complete, balanced constructs, so no end tag here can close an
+// element opened outside the range.
 func (pr *pruner) runSkipFragment() error {
 	s := pr.s
 	pending := false

@@ -58,13 +58,24 @@ func genSite(items, depth int) string {
 	return b.String()
 }
 
-func pruneParallelStr(t *testing.T, src string, d *dtd.DTD, p *dtd.Projection, popts ParallelOptions) (string, Stats, ParallelDetail, error) {
+// pruneParallelStr runs the resident source into a bufio.Writer and,
+// with the same options, into a span-gather list, and requires the two
+// outputs to agree on verdict, bytes and stats.
+func pruneParallelStr(t *testing.T, src string, d *dtd.DTD, p *dtd.Projection, popts PipelineOptions) (string, Stats, PipelineDetail, error) {
 	t.Helper()
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
 	st, det, err := PruneParallel(bw, []byte(src), d, p, popts)
 	if err == nil {
 		err = bw.Flush()
+	}
+	var sl SpanList
+	gst, _, gerr := PruneParallelGather(&sl, []byte(src), d, p, popts)
+	if (err == nil) != (gerr == nil) {
+		t.Fatalf("gather verdict diverges: bufio=%v gather=%v", err, gerr)
+	}
+	if err == nil && (string(sl.Bytes()) != sb.String() || gst != st) {
+		t.Fatalf("gather diverges\nbufio:  %q %+v\ngather: %q %+v", sb.String(), st, sl.Bytes(), gst)
 	}
 	return sb.String(), st, det, err
 }
@@ -78,11 +89,11 @@ var siteProjectors = map[string]dtd.NameSet{
 	"root-only": dtd.NewNameSet("site"),
 }
 
-// TestParallelMatchesSerial is the core differential: for every
-// projector, worker count, fragment target and stage-1 chunk size —
-// including adversarial one-byte chunks that cut mid-tag, mid-CDATA and
-// mid-comment — the parallel pruner's output, stats and verdict must be
-// identical to the serial scanner's.
+// TestParallelMatchesSerial is the core differential for the resident
+// source: for every projector, worker count, fragment target and
+// window size — including one-byte windows, whose edges land at every
+// offset, mid-tag, mid-CDATA and mid-comment — the parallel pruner's
+// output, stats and verdict must be identical to the serial scanner's.
 func TestParallelMatchesSerial(t *testing.T) {
 	docs := map[string]string{
 		"site":  genSite(4, 3),
@@ -108,15 +119,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 				want := sb.String()
 				for _, workers := range []int{1, 2, 4, 8} {
 					for _, target := range []int{1, 40, 1 << 20} {
-						for _, chunk := range []int{1, 17, 64 << 10} {
-							got, pst, det, perr := pruneParallelStr(t, doc, d, p, ParallelOptions{
+						for _, win := range []int{1, 17, 64 << 10} {
+							got, pst, det, perr := pruneParallelStr(t, doc, d, p, PipelineOptions{
 								Options:    opts,
 								Workers:    workers,
-								ChunkSize:  chunk,
+								WindowSize: win,
 								FragTarget: target,
 							})
-							id := fmt.Sprintf("%s/%s validate=%v w=%d target=%d chunk=%d (tasks=%d)",
-								pname, dname, validate, workers, target, chunk, det.Tasks)
+							id := fmt.Sprintf("%s/%s validate=%v w=%d target=%d win=%d (windows=%d tasks=%d)",
+								pname, dname, validate, workers, target, win, det.Windows, det.Tasks)
 							if (serr == nil) != (perr == nil) {
 								t.Fatalf("%s: verdict diverges: serial=%v parallel=%v", id, serr, perr)
 							}
@@ -143,7 +154,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelRecursesDominantSubtree(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["all"])
 	doc := genSite(2, 5)
-	_, _, det, err := pruneParallelStr(t, doc, d, p, ParallelOptions{
+	_, _, det, err := pruneParallelStr(t, doc, d, p, PipelineOptions{
 		Options: Options{RawCopy: true}, Workers: 4, FragTarget: 64,
 	})
 	if err != nil {
@@ -188,12 +199,14 @@ func TestParallelVerdictParityOnBadDocs(t *testing.T) {
 				bw := bufio.NewWriter(&sb)
 				_, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
 				for _, target := range []int{1, 1 << 20} {
-					_, _, _, perr := pruneParallelStr(t, doc, d, p, ParallelOptions{
-						Options: opts, Workers: 4, ChunkSize: 11, FragTarget: target,
-					})
-					if (serr == nil) != (perr == nil) {
-						t.Errorf("%s validate=%v doc %d target=%d: serial=%v parallel=%v",
-							pname, validate, i, target, serr, perr)
+					for _, win := range []int{1, 11, 1 << 20} {
+						_, _, _, perr := pruneParallelStr(t, doc, d, p, PipelineOptions{
+							Options: opts, Workers: 4, WindowSize: win, FragTarget: target,
+						})
+						if (serr == nil) != (perr == nil) {
+							t.Errorf("%s validate=%v doc %d target=%d win=%d: serial=%v parallel=%v",
+								pname, validate, i, target, win, serr, perr)
+						}
 					}
 				}
 			}
@@ -201,21 +214,25 @@ func TestParallelVerdictParityOnBadDocs(t *testing.T) {
 	}
 }
 
-// TestParallelMaxTokenSize: an oversized token fails in stage 1 with
-// ErrTokenTooLong — before any fragment tries to buffer it — matching
-// the serial scanner's verdict.
+// TestParallelMaxTokenSize: an oversized token fails in the indexer
+// with ErrTokenTooLong — before any fragment works on it — matching the
+// serial scanner's verdict, whether the token fits one window or spans
+// many.
 func TestParallelMaxTokenSize(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["all"])
 	big := strings.Repeat("x", 3*windowFlushSize)
 	doc := `<site><regions><item id="1"><name>` + big + `</name></item></regions></site>`
 	cap := 2 * windowFlushSize
-	opts := ParallelOptions{Options: Options{RawCopy: true, MaxTokenSize: cap}, Workers: 2}
-	_, _, det, err := pruneParallelStr(t, doc, d, p, opts)
-	if !errors.Is(err, ErrTokenTooLong) {
-		t.Fatalf("got %v, want ErrTokenTooLong", err)
-	}
-	if det.Fallback {
-		t.Fatal("oversized token should fail in stage 1, not fall back")
+	opts := PipelineOptions{Options: Options{RawCopy: true, MaxTokenSize: cap}, Workers: 2}
+	for _, win := range []int{0, 16 << 10} {
+		opts.WindowSize = win
+		_, _, det, err := pruneParallelStr(t, doc, d, p, opts)
+		if !errors.Is(err, ErrTokenTooLong) {
+			t.Fatalf("win=%d: got %v, want ErrTokenTooLong", win, err)
+		}
+		if det.Fallback {
+			t.Fatalf("win=%d: oversized token should fail in the indexer, not fall back", win)
+		}
 	}
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
@@ -223,9 +240,10 @@ func TestParallelMaxTokenSize(t *testing.T) {
 	if !errors.Is(serr, ErrTokenTooLong) {
 		t.Fatalf("serial scanner disagrees: %v", serr)
 	}
-	// A small-cap prune falls back to the serial scanner wholesale.
-	smallOpts := ParallelOptions{Options: Options{MaxTokenSize: 1 << 10}, Workers: 2}
-	_, _, det, err = pruneParallelStr(t, doc, d, p, smallOpts)
+	// A small-cap prune falls back to the serial scanner wholesale (the
+	// streaming one: the in-memory gather fallback enforces no cap).
+	smallOpts := PipelineOptions{Options: Options{MaxTokenSize: 1 << 10}, Workers: 2}
+	_, det, err := PruneParallel(bufio.NewWriter(&sb), []byte(doc), d, p, smallOpts)
 	if !det.Fallback {
 		t.Fatal("tiny token cap must use the serial pruner")
 	}
@@ -234,22 +252,33 @@ func TestParallelMaxTokenSize(t *testing.T) {
 	}
 }
 
-// TestParallelFallbackOnUnindexable: structure stage 1 cannot describe
-// (e.g. a directive mid-document is fine, but '<' inside a quoted
-// attribute value is not) falls back to the serial scanner and inherits
-// its verdict.
-func TestParallelFallbackOnUnindexable(t *testing.T) {
+// TestParallelUnindexableVerdictParity: structure the indexer cannot
+// describe — '<' inside a quoted attribute value, after delegated
+// ranges or before any — marks its window dead; the spine then runs the
+// window itself and returns the serial scanner's exact error, with no
+// fallback to a second pass.
+func TestParallelUnindexableVerdictParity(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["all"])
-	doc := `<site><regions><item id="<1>"><name>n</name></item></regions></site>`
-	_, _, det, perr := pruneParallelStr(t, doc, d, p, ParallelOptions{Workers: 2})
-	if !det.Fallback {
-		t.Fatal("expected serial fallback")
-	}
-	var sb strings.Builder
-	bw := bufio.NewWriter(&sb)
-	_, serr := Prune(bw, strings.NewReader(doc), d, p, Options{})
-	if (serr == nil) != (perr == nil) {
-		t.Fatalf("fallback verdict diverges: serial=%v parallel=%v", serr, perr)
+	bad := `<item id="<1>"><name>n</name></item>`
+	for _, doc := range []string{
+		`<site><regions>` + bad + `</regions></site>`,
+		`<site><regions>` + strings.Repeat(`<item id="1"><name>n</name></item>`, 20) + bad + `</regions></site>`,
+	} {
+		var sb strings.Builder
+		bw := bufio.NewWriter(&sb)
+		_, serr := Prune(bw, strings.NewReader(doc), d, p, Options{})
+		if serr == nil {
+			t.Fatal("serial scanner accepted a '<' in an attribute value")
+		}
+		for _, win := range []int{1, 7, 1 << 20} {
+			_, _, det, perr := pruneParallelStr(t, doc, d, p, PipelineOptions{Workers: 2, WindowSize: win, FragTarget: 16})
+			if det.Fallback {
+				t.Fatalf("win=%d: unexpected serial fallback", win)
+			}
+			if perr == nil || perr.Error() != serr.Error() {
+				t.Fatalf("win=%d: verdict diverges: serial=%v parallel=%v", win, serr, perr)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -278,5 +279,65 @@ func TestPipelinedDelegatesSkippedSubtrees(t *testing.T) {
 	}
 	if det.Tasks == 0 {
 		t.Fatal("expected skip ranges to be delegated")
+	}
+}
+
+// TestParallelContainsPanics: a panic in the indexer or in a fragment
+// worker becomes the prune's error, wrapping ErrWorkerPanic, on both
+// window sources — instead of taking the process down — and the next
+// prune runs normally.
+func TestParallelContainsPanics(t *testing.T) {
+	d, p := setupSite(t, siteProjectors["all"])
+	doc := genSite(4, 3)
+	opts := PipelineOptions{Options: Options{RawCopy: true}, Workers: 4, WindowSize: 512, FragTarget: 64}
+	for _, stage := range []string{"index", "fragment"} {
+		testHook = func(s string) {
+			if s == stage {
+				panic("injected")
+			}
+		}
+		_, _, _, rerr := prunePipelinedStr(t, strings.NewReader(doc), d, p, opts)
+		var sl SpanList
+		_, _, perr := PruneParallelGather(&sl, []byte(doc), d, p, opts)
+		testHook = nil
+		for src, err := range map[string]error{"reader": rerr, "resident": perr} {
+			if !errors.Is(err, ErrWorkerPanic) || !strings.Contains(err.Error(), "injected") {
+				t.Errorf("%s source, panic in %s: got %v, want ErrWorkerPanic", src, stage, err)
+			}
+		}
+	}
+	var sb strings.Builder
+	bw := bufio.NewWriter(&sb)
+	sst, _ := Prune(bw, strings.NewReader(doc), d, p, opts.Options)
+	bw.Flush()
+	got, pst, _, err := prunePipelinedStr(t, strings.NewReader(doc), d, p, opts)
+	if err != nil || got != sb.String() || pst != sst {
+		t.Fatalf("prune after contained panics: err=%v, output equal=%v", err, got == sb.String())
+	}
+}
+
+// TestPipelinedPoolsSlabs: the reader source reuses default-size window
+// slabs across prunes instead of allocating ring × window afresh.
+func TestPipelinedPoolsSlabs(t *testing.T) {
+	d, p := setupSite(t, siteProjectors["low"])
+	doc := genSite(4, 3)
+	opts := PipelineOptions{Options: Options{RawCopy: true}, Workers: 2, RingDepth: 4}
+	run := func() {
+		if _, _, _, err := prunePipelinedStr(t, strings.NewReader(doc), d, p, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	// Unpooled, every run would allocate 4 MiB of slabs; the race
+	// detector's pool drops a quarter of puts, so allow half of that.
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 2*DefaultPipelineWindow {
+		t.Fatalf("%d bytes allocated per prune, want < %d", perRun, 2*DefaultPipelineWindow)
 	}
 }

@@ -198,12 +198,12 @@ type pruner struct {
 	skipOffs []int
 
 	// Parallel-prune state. mode selects the pruner's role: modeNormal is
-	// the plain serial pruner (also the spine of a parallel prune, when
-	// sp is set); modeFragment prunes one content range of a kept context
+	// the plain serial pruner (also the spine of a parallel prune over
+	// its final window); modeFragment prunes one content range of a kept context
 	// element, recording child-level symbols in events instead of walking
 	// the context element's content-model DFA (the spine replays them at
 	// the splice point, in document order); modePipe is the spine of a
-	// pipelined prune over one non-final window — end of input means
+	// parallel prune over one non-final window — end of input means
 	// "window exhausted, more to come", so run returns nil with all
 	// cross-window state (stack, DFA states, pending text run, open '>')
 	// left in place for the next window. ctxBase is the seeded stack

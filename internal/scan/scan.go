@@ -526,9 +526,10 @@ func (s *Scanner) skipDirective() error {
 // skipPI consumes a processing instruction after "<?": the target name
 // is validated, and an <?xml?> declaration gets the same version and
 // encoding checks as encoding/xml (no CharsetReader: any non-UTF-8
-// declared encoding is an error — Stream routes byte-order-marked
-// UTF-16/32 inputs to the decoder path up front, and both paths reject
-// declared non-UTF-8 encodings). The caller must not hold a mark.
+// declared encoding is an error — Stream rejects byte-order-marked
+// UTF-16/32 inputs up front, and the scanner and decoder paths both
+// reject declared non-UTF-8 encodings). The caller must not hold a
+// mark.
 func (s *Scanner) skipPI() error {
 	s.setMark()
 	ok, err := s.readName()

@@ -69,7 +69,7 @@ type metrics struct {
 	rejectedBusy  atomic.Int64 // admission control said no (429)
 	rejectedLarge atomic.Int64 // body over the size limit (413)
 	timeouts      atomic.Int64 // request deadline passed mid-prune (408)
-	pruneFailures atomic.Int64 // the document itself failed to prune (422)
+	pruneFailures atomic.Int64 // the document itself failed to prune (422, or 415 for UTF-16/32)
 	clientGone    atomic.Int64 // client disconnected mid-request
 	gatherPrunes  atomic.Int64 // requests served by the span-gather path
 	inFlight      atomic.Int64 // prunes currently holding an admission slot

@@ -648,6 +648,9 @@ func (s *Server) classifyPruneErr(err error) int {
 	case errors.Is(err, context.Canceled):
 		s.m.clientGone.Add(1)
 		return statusClientGone
+	case errors.Is(err, xmlproj.ErrUnsupportedEncoding):
+		s.m.pruneFailures.Add(1)
+		return http.StatusUnsupportedMediaType
 	default:
 		s.m.pruneFailures.Add(1)
 		return http.StatusUnprocessableEntity

@@ -583,6 +583,35 @@ func TestGatherPath(t *testing.T) {
 	}
 }
 
+// TestPruneUnsupportedEncoding: a UTF-16 body, with or without a
+// byte-order mark, gets 415 Unsupported Media Type on both the gather
+// path (sized body) and the streaming path (chunked body), before any
+// output is written.
+func TestPruneUnsupportedEncoding(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, bom := range [][]byte{{0xFE, 0xFF}, nil} {
+		body := append([]byte(nil), bom...)
+		for _, r := range bibDoc {
+			body = append(body, 0x00, byte(r))
+		}
+		for _, sized := range []bool{true, false} {
+			var src io.Reader = bytes.NewReader(body)
+			if !sized {
+				src = io.MultiReader(src) // hides the length: chunked upload
+			}
+			resp, got := postPrune(t, ts, "/prune?projection=titles", src)
+			if resp.StatusCode != http.StatusUnsupportedMediaType {
+				t.Errorf("bom=%v sized=%v: status %d, want 415 (%q)", bom != nil, sized, resp.StatusCode, got)
+			}
+			if !strings.Contains(string(got), "UTF-16") {
+				t.Errorf("bom=%v sized=%v: body %q does not name the encoding", bom != nil, sized, got)
+			}
+		}
+	}
+}
+
 // TestPipelinedPath: a chunked (unsized) body on a multi-CPU host is
 // served by the pipelined streaming engine — output still byte-identical
 // to the serial pruner, and the pipelined counters move: the server's

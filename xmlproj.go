@@ -478,11 +478,15 @@ func (p *Projector) pruneStream(dst io.Writer, src io.Reader, validate bool) (Pr
 }
 
 // PruneEngine names the tokenizer behind a streaming prune. The zero
-// value auto-selects: the pipelined streaming parallel pruner for
-// UTF-8 reader input on multi-CPU hosts (unknown sizes, or known sizes
-// past a threshold), the two-stage batch parallel pruner for large
-// in-memory input, the byte-level serial scanner otherwise for UTF-8,
-// and encoding/xml for everything else.
+// value auto-selects among the byte-level engines: on multi-CPU hosts
+// the parallel pruner over reader input (PrunePipelined — unknown
+// sizes, or known sizes past a threshold) or over large in-memory input
+// (PruneParallel), the serial scanner otherwise. PruneParallel and
+// PrunePipelined are one parallel pruner with two window sources:
+// resident windows cut from in-memory input without copying, or pooled
+// slabs filled from a reader. PruneDecoder is the encoding/xml
+// reference path. Input that looks like UTF-16 or UTF-32 fails with
+// ErrUnsupportedEncoding on every engine but PruneDecoder.
 type PruneEngine int
 
 const (
@@ -534,12 +538,14 @@ type StreamOptions struct {
 	// window residency of a pipelined prune (Windows == 0 means the
 	// pipelined engine did not run).
 	Pipeline *PipelineStages
-	// PipelineWindowSize bounds each pipelined window slab in bytes
-	// (0 means the engine default, 1 MiB). Peak input residency is
-	// bounded by PipelineRingDepth × PipelineWindowSize.
+	// PipelineWindowSize is the number of fresh input bytes each window
+	// of the parallel pruner adds, on both PruneParallel and
+	// PrunePipelined (0 means the engine default, 1 MiB). A pipelined
+	// prune's peak input residency is bounded by PipelineRingDepth ×
+	// PipelineWindowSize.
 	PipelineWindowSize int
-	// PipelineRingDepth bounds how many window slabs can be in flight at
-	// once across the read → index → prune stages (0 means workers+2).
+	// PipelineRingDepth bounds how many windows can be in flight at once
+	// between the source and the in-order splice (0 means workers+2).
 	PipelineRingDepth int
 	// Chosen, when non-nil, receives the engine that actually ran.
 	Chosen *PruneEngine
@@ -605,6 +611,10 @@ type PruneResult struct {
 	cached   *rescache.Entry
 	released atomic.Bool
 }
+
+// ErrUnsupportedEncoding reports input whose first bytes look like
+// UTF-16 or UTF-32. Only UTF-8 input is supported.
+var ErrUnsupportedEncoding = prune.ErrUnsupportedEncoding
 
 // ErrResultReleased is returned by PruneResult.WriteTo after Close.
 var ErrResultReleased = errors.New("xmlproj: PruneResult used after Close")
