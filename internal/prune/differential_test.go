@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
@@ -176,7 +177,31 @@ func init() {
 		// spans at every boundary.
 		`<bib><book isbn="&#49;"><title>&lt;a&gt;&amp;b</title><author>A&#x41;B</author><year>&#50;</year></book></bib>`,
 		`<bib><book isbn="1"><title>r</title><author>a&amp;<![CDATA[&]]>&lt;</author></book><book isbn="2"><title>raw2</title><author>plain</author></book></bib>`,
+		// Non-ASCII and entity whitespace — U+00A0, U+0085, U+3000, &#32;,
+		// &#160; — alone (a whitespace-only run is dropped) and mixed with
+		// text, kept in title and skipped in year under most projectors.
+		"<bib><book isbn=\"1\"><title>\u00a0</title><author>\u0085\u3000</author><year>\u00a0\u3000 \u0085</year></book></bib>",
+		`<bib><book isbn="1"><title>&#32;&#160;</title><author>a&#160;b</author><year>&#32; &#160;</year></book></bib>`,
+		"<bib><book isbn=\"1\"><title>\u3000x\u00a0</title><author>A</author><year>\u0085y&#160;</year></book></bib>",
+		// 2-, 3- and 4-byte runes at every offset modulo the 8-byte
+		// classification word, so some straddle a word edge.
+		`<bib><book isbn="1"><title>` + straddle("é€😀") + `</title><author>A</author><year>` +
+			straddle("é€😀") + `</year></book></bib>`,
+		`<bib><book isbn="1"><title>` + straddle("\u00a0\u3000") + `</title><author>` + straddle("\u0085") +
+			`</author><year>` + straddle("\u3000") + `</year></book></bib>`,
 	}
+}
+
+// straddle places runes after every prefix length 0..8 of filler, so
+// that across the run each rune starts at every offset of an 8-byte
+// word.
+func straddle(runes string) string {
+	var b strings.Builder
+	for k := 0; k <= 8; k++ {
+		b.WriteString(strings.Repeat("a", k))
+		b.WriteString(runes)
+	}
+	return b.String()
 }
 
 func TestScannerMatchesDecoderFixed(t *testing.T) {
@@ -229,8 +254,8 @@ func TestScannerMatchesDecoderOnXMark(t *testing.T) {
 	}
 }
 
-// TestScannerMalformed: the malformed corpus must be rejected by both
-// engines.
+// TestScannerMalformed: the malformed corpus must be rejected by every
+// engine, at a kept level and inside skipped subtrees.
 func TestScannerMalformed(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text")
@@ -267,6 +292,48 @@ func TestScannerMalformed(t *testing.T) {
 			if err == nil {
 				t.Errorf("engine %d accepted malformed input %q", eng, src)
 			}
+		}
+	}
+
+	// The same kinds of faults inside skipped subtrees — where the scanner
+	// validates text in place and matches end tags by byte compare — under
+	// a π that skips the whole book and one that skips only year. Every
+	// engine and the gather path must reach the decoder's verdict (runBoth),
+	// which must be the expected one.
+	skipPis := []dtd.NameSet{
+		dtd.NewNameSet("bib"),
+		dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn"),
+	}
+	year := func(content string) string {
+		return `<bib><book isbn="1"><title>T</title><author>A</author><year>` + content + `</year></book></bib>`
+	}
+	skipped := []struct {
+		src string
+		ok  bool
+	}{
+		{year("\x01"), false},
+		{year("x\xff\xfe"), false},
+		{year("&#0;"), false},
+		{year("&bogus;"), false},
+		{year("&amp"), false},
+		{year("a]]>b"), false},
+		{year(`<y v="<"/>`), false},
+		{year("<y v='\x02'/>"), false},
+		{year("<![CDATA[x"), false},
+		{year("<title>t</titlex>"), false},
+		{year("<titlex>t</title>"), false},
+		{year("<title>t</title >"), true},
+		{year("<titlex>t</titlex\t\n>"), true},
+		{year("<![CDATA[a]]b]]]>\u00a0&#160;"), true},
+	}
+	for _, tc := range skipped {
+		for _, spi := range skipPis {
+			var db strings.Builder
+			if _, derr := Stream(&db, strings.NewReader(tc.src), d, spi, StreamOptions{Engine: EngineDecoder}); (derr == nil) != tc.ok {
+				t.Fatalf("decoder verdict on %q under %s: %v, want ok=%v", tc.src, spi, derr, tc.ok)
+			}
+			runBoth(t, tc.src, d, spi, false)
+			runBoth(t, tc.src, d, spi, true)
 		}
 	}
 }
@@ -678,6 +745,10 @@ func FuzzStreamDifferential(f *testing.F) {
 	// between raw input spans and synthesized escape-buffer bytes.
 	f.Add(`<bib><book isbn="&#49;"><title>&lt;t&gt;</title><author>A&amp;B</author></book></bib>`, uint16(5))
 	f.Add(`<bib><book isbn="1"><title>raw</title><author><![CDATA[&]]>&#x42;</author></book></bib>`, uint16(12))
+	// Non-ASCII text and whitespace in the skipped year, straddling
+	// classification words and, under the one-byte reader, every refill.
+	f.Add("<bib><book isbn=\"1\"><title>T</title><author>A</author><year>1234567é€😀\u00a0</year></book></bib>", uint16(14))
+	f.Add("<bib><book isbn=\"1\"><title>\u3000</title><author>A</author><year>\u0085&#160;<y a='é'/></year></book></bib>", uint16(15))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
 		// End tags are matched by resolved namespace in encoding/xml but
 		// by literal prefix in the scanner; inputs that bind prefixes are
@@ -685,11 +756,19 @@ func FuzzStreamDifferential(f *testing.F) {
 		if strings.Contains(src, "xmlns") {
 			t.Skip()
 		}
-		var sb, db strings.Builder
+		var sb, db, ob strings.Builder
 		sst, serr := Stream(&sb, strings.NewReader(src), d, pi, StreamOptions{Engine: EngineScanner})
 		dst, derr := Stream(&db, strings.NewReader(src), d, pi, StreamOptions{Engine: EngineDecoder})
 		if (serr == nil) != (derr == nil) {
 			t.Fatalf("engines disagree on acceptance\nscanner: %v\ndecoder: %v", serr, derr)
+		}
+		// One byte per read splits every construct across refills.
+		ost, oerr := Stream(&ob, iotest.OneByteReader(strings.NewReader(src)), d, pi, StreamOptions{Engine: EngineScanner})
+		if (serr == nil) != (oerr == nil) {
+			t.Fatalf("one-byte reader disagrees on acceptance\nscanner:  %v\none-byte: %v", serr, oerr)
+		}
+		if serr == nil && (ob.String() != sb.String() || ost != sst) {
+			t.Fatalf("one-byte reader diverges\nscanner:  %q %+v\none-byte: %q %+v", sb.String(), sst, ob.String(), ost)
 		}
 		// The shared-scan multi-pruner must agree per projector with
 		// serial gathers on whatever the fuzzer found — verdicts, bytes

@@ -147,175 +147,3 @@ func (pr *pruner) runFragment(ctxSym int32, ctxBase int) error {
 	pr.sawRoot = true
 	return pr.run()
 }
-
-// runSkipFragment processes one range inside a discarded subtree with
-// skipScan's exact semantics — full well-formedness checks, skipped
-// element and logical-text-run counting, nothing materialised — but
-// terminated by the end of the range instead of by the subtree's end
-// tag. The indexer's verified structure guarantees the range holds
-// complete, balanced constructs, so no end tag here can close an
-// element opened outside the range.
-func (pr *pruner) runSkipFragment() error {
-	s := pr.s
-	pending := false
-	flush := func() {
-		if pending {
-			pr.st.TextIn++
-			pr.st.TextSkipped++
-			pending = false
-		}
-	}
-	for {
-		b, ok := s.getc()
-		if !ok {
-			if !s.atEOF() {
-				return s.rerr
-			}
-			// The byte after the range is an element tag, where skipScan
-			// would flush the pending run.
-			flush()
-			if len(pr.skipOffs) != 0 {
-				return errSyntax("unterminated element in skipped content")
-			}
-			return nil
-		}
-		if b != '<' {
-			s.ungetc()
-			var info textInfo
-			var err error
-			pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, false)
-			if err != nil {
-				return err
-			}
-			if !info.ws {
-				pending = true
-			}
-			continue
-		}
-		b2, ok := s.getc()
-		if !ok {
-			return s.readErr()
-		}
-		switch b2 {
-		case '/':
-			flush()
-			s.setMark()
-			ok, err := s.readName()
-			if err != nil {
-				s.clearMark()
-				return err
-			}
-			if !ok {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			nameEnd := s.pos - s.mark
-			s.space()
-			b, ok = s.getc()
-			if !ok {
-				s.clearMark()
-				return s.readErr()
-			}
-			if b != '>' {
-				err := errSyntax("invalid characters between </" + string(s.buf[s.mark:s.mark+nameEnd]) + " and >")
-				s.clearMark()
-				return err
-			}
-			name := s.buf[s.mark : s.mark+nameEnd]
-			if !s.checkName(name) {
-				err := errSyntax("invalid XML name: " + string(name))
-				s.clearMark()
-				return err
-			}
-			if _, _, okn := splitName(name); !okn {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			if len(pr.skipOffs) == 0 {
-				err := errSyntax("unbalanced end element " + string(name))
-				s.clearMark()
-				return err
-			}
-			if string(name) != string(pr.topSkipName()) {
-				err := errSyntax("element <" + string(pr.topSkipName()) + "> closed by </" + string(name) + ">")
-				s.clearMark()
-				return err
-			}
-			s.clearMark()
-			pr.popSkipName()
-		case '?':
-			if err := s.skipPI(); err != nil {
-				return err
-			}
-		case '!':
-			b3, ok := s.getc()
-			if !ok {
-				return s.readErr()
-			}
-			switch b3 {
-			case '-':
-				b4, ok := s.getc()
-				if !ok {
-					return s.readErr()
-				}
-				if b4 != '-' {
-					return errSyntax("invalid sequence <!- not part of <!--")
-				}
-				if err := s.skipComment(); err != nil {
-					return err
-				}
-			case '[':
-				if err := s.expectCDATA(); err != nil {
-					return err
-				}
-				var info textInfo
-				var err error
-				pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, true)
-				if err != nil {
-					return err
-				}
-				if !info.ws {
-					pending = true
-				}
-			default:
-				if err := s.skipDirective(); err != nil {
-					return err
-				}
-			}
-		default:
-			flush()
-			pr.st.ElementsIn++
-			pr.st.ElementsSkipped++
-			s.ungetc()
-			s.setMark()
-			ok, err := s.readName()
-			if err != nil {
-				s.clearMark()
-				return err
-			}
-			if !ok {
-				s.clearMark()
-				return errSyntax("expected element name after <")
-			}
-			name := s.marked()
-			if !s.checkName(name) {
-				err := errSyntax("invalid XML name: " + string(name))
-				s.clearMark()
-				return err
-			}
-			if _, _, okn := splitName(name); !okn {
-				s.clearMark()
-				return errSyntax("expected element name after <")
-			}
-			pr.pushSkipName(name)
-			s.clearMark()
-			empty, err := pr.skipAttrs()
-			if err != nil {
-				return err
-			}
-			if empty {
-				pr.popSkipName()
-			}
-		}
-	}
-}

@@ -13,7 +13,7 @@ package scan
 // parent's, so the masks shrink monotonically with depth and a subtree
 // whose live set is empty is dead for every projector: it is consumed
 // once with the existing skip-scan machinery (well-formedness only,
-// memchr hot loop), its skipped-node counts distributed to all
+// text validated in place), its skipped-node counts distributed to all
 // projectors.
 //
 // Each projector's rendered output is byte-identical to what a serial
@@ -338,24 +338,30 @@ func (m *mpruner) run() error {
 func (m *mpruner) chunk(chunkStart int, cdata bool) error {
 	s := m.pr.s
 	depth := len(m.stack)
-	var dst []byte
-	prevLen := 0
-	if depth == 0 {
-		dst = m.pr.attrVal[:0]
-	} else {
-		dst = m.pr.textBuf
-		prevLen = len(dst)
+	var keep uint64
+	if depth > 0 {
+		top := &m.stack[depth-1]
+		keep = top.live & m.alive & m.mp.KeepText(top.sym)
 	}
+	if keep == 0 {
+		// Text outside the root is tokenized and validated but ignored,
+		// exactly like the serial pruner; and when no surviving projector
+		// keeps this element's text, the run only needs its counters and
+		// placement validation, not its bytes. (Masks shrink only at
+		// element tags, where the run ends, so keep is still 0 at flush.)
+		// Either way the chunk is validated in place.
+		info, err := s.skipText(-1, cdata)
+		if err == nil && depth > 0 && !info.ws {
+			m.runPending = true
+		}
+		return err
+	}
+	dst := m.pr.textBuf
+	prevLen := len(dst)
 	out, info, err := s.text(dst, -1, cdata)
 	if cdata {
 		// CDATA bodies are re-escaped on output, never copied raw.
 		info.verbatim = false
-	}
-	if depth == 0 {
-		// Text outside the root is tokenized and validated but ignored,
-		// exactly like the serial pruner.
-		m.pr.attrVal = out[:0]
-		return err
 	}
 	if err != nil {
 		m.pr.textBuf = out[:prevLen]
@@ -366,15 +372,6 @@ func (m *mpruner) chunk(chunkStart int, cdata bool) error {
 		return nil
 	}
 	m.runPending = true
-	top := &m.stack[depth-1]
-	keep := top.live & m.alive & m.mp.KeepText(top.sym)
-	if keep == 0 {
-		// No surviving projector keeps this element's text: the run only
-		// needs its counters and placement validation, not its bytes.
-		// (Masks shrink monotonically, so keep is still 0 at flush.)
-		m.pr.textBuf = out[:prevLen]
-		return nil
-	}
 	if info.verbatim && prevLen == 0 {
 		// The raw bytes are exactly the canonical output and nothing
 		// earlier in this run is pending in the buffer (which a later

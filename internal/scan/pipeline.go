@@ -710,7 +710,8 @@ func runTask(data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options, t *fra
 	pr.prep(d, proj, opts)
 	if t.skip {
 		pr.useDiscard()
-		t.res.err = pr.runSkipFragment()
+		pr.mode = modeSkipRange
+		t.res.err = pr.skipScan()
 		t.res.st = pr.st
 	} else {
 		sl := getSpanList(data)

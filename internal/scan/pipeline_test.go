@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"xmlproj/internal/dtd"
 )
@@ -116,7 +117,7 @@ func TestPipelinedTortureReaders(t *testing.T) {
 		bw.Flush()
 		want := sb.String()
 		readers := map[string]func() io.Reader{
-			"onebyte": func() io.Reader { return iotest(strings.NewReader(doc)) },
+			"onebyte": func() io.Reader { return iotest.OneByteReader(strings.NewReader(doc)) },
 			"stutter": func() io.Reader { return &stutterReader{r: strings.NewReader(doc)} },
 			"iotest1": func() io.Reader { return io.LimitReader(strings.NewReader(doc), int64(len(doc))) },
 		}

@@ -188,7 +188,7 @@ type pruner struct {
 	openRel   int
 
 	tagBuf   []byte // canonical rendering of the current start tag
-	attrVal  []byte // decoded attribute value / discard scratch
+	attrVal  []byte // decoded value of a kept element's attribute
 	seen     []bool // declared-attribute tracking for #REQUIRED checks
 	prefixes map[string]string
 
@@ -206,8 +206,9 @@ type pruner struct {
 	// parallel prune over one non-final window — end of input means
 	// "window exhausted, more to come", so run returns nil with all
 	// cross-window state (stack, DFA states, pending text run, open '>')
-	// left in place for the next window. ctxBase is the seeded stack
-	// depth a fragment starts and must end at.
+	// left in place for the next window; modeSkipRange runs skipScan over
+	// one delegated range inside a discarded subtree. ctxBase is the
+	// seeded stack depth a fragment starts and must end at.
 	mode    uint8
 	ctxBase int
 	events  []int32
@@ -223,6 +224,7 @@ const (
 	modeNormal uint8 = iota
 	modeFragment
 	modePipe
+	modeSkipRange
 )
 
 // errPause is skipScan's internal signal that a modePipe window ended
@@ -368,24 +370,23 @@ func (pr *pruner) run() error {
 func (pr *pruner) chunk(tokRel int, cdata bool) error {
 	s := pr.s
 	depth := len(pr.stack)
-	var dst []byte
-	prevLen := 0
-	if depth == 0 {
-		dst = pr.attrVal[:0]
-	} else {
-		dst = pr.textBuf
-		prevLen = len(dst)
+	if depth == 0 || !pr.win && pr.p.Flags(pr.stack[depth-1].sym)&dtd.KeepText == 0 {
+		// Nothing of this chunk reaches the output — text outside the root
+		// is tokenized and validated but ignored, exactly like the decoder
+		// path, and π drops this element's text — so it is validated in
+		// place; only the run's existence matters.
+		info, err := s.skipText(-1, cdata)
+		if err == nil && depth > 0 && !info.ws {
+			pr.runPending = true
+		}
+		return err
 	}
+	dst := pr.textBuf
+	prevLen := len(dst)
 	out, info, err := s.text(dst, -1, cdata)
 	if cdata {
 		// CDATA bodies are re-escaped on output, never copied raw.
 		info.verbatim = false
-	}
-	if depth == 0 {
-		pr.attrVal = out[:0]
-		// Text outside the root is tokenized and validated but ignored
-		// by the pruner, exactly like the decoder path.
-		return err
 	}
 	if err != nil {
 		pr.textBuf = out[:prevLen]
@@ -599,6 +600,10 @@ func (pr *pruner) startTag(tokRel int) error {
 		pr.pushSkipName(name)
 		if pr.win {
 			pr.flushWindowUpTo(tokRel)
+		} else {
+			// Release the token mark: nothing of the discarded subtree
+			// needs to stay buffered, however long it runs.
+			s.clearMark()
 		}
 		empty, err := pr.skipAttrs()
 		if err != nil {

@@ -16,7 +16,6 @@
 package scan
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -56,10 +55,12 @@ type Scanner struct {
 	// aliases buf to caller data) so Reset can restore it.
 	ownBuf []byte
 
-	// nameCache memoises full XML-name validation for the rare names
-	// that are not pure ASCII (checked by delegating to encoding/xml,
-	// keeping the two paths' notion of a valid name identical).
-	nameCache map[string]bool
+	// nameRunes memoises checkName's verdicts on non-ASCII runes, keyed
+	// by rune<<1 | first (the position class); nameProbes counts the
+	// encoding/xml probes behind them. The memo is per input: Reset and
+	// ResetBytes clear it.
+	nameRunes  map[rune]bool
+	nameProbes int
 }
 
 // NewScanner returns a scanner reading from r.
@@ -76,6 +77,7 @@ func (s *Scanner) Reset(r io.Reader) {
 	s.pos, s.end = 0, 0
 	s.mark = -1
 	s.rerr = nil
+	clear(s.nameRunes)
 }
 
 // ResetBytes reuses the scanner over an in-memory input without
@@ -92,6 +94,7 @@ func (s *Scanner) ResetBytes(data []byte) {
 	s.pos, s.end = 0, len(data)
 	s.mark = -1
 	s.rerr = io.EOF
+	clear(s.nameRunes)
 }
 
 // ResetBytesAt is ResetBytes restricted to the window data[lo:hi]:
@@ -225,12 +228,12 @@ func errSyntax(msg string) error { return fmt.Errorf("XML syntax error: %s", msg
 // whitespace.
 func (s *Scanner) space() {
 	for {
-		b, ok := s.getc()
-		if !ok {
-			return
+		for ; s.pos < s.end; s.pos++ {
+			if b := s.buf[s.pos]; b != ' ' && b != '\r' && b != '\n' && b != '\t' {
+				return
+			}
 		}
-		if b != ' ' && b != '\r' && b != '\n' && b != '\t' {
-			s.ungetc()
+		if !s.fill() {
 			return
 		}
 	}
@@ -247,67 +250,99 @@ func isNameByte(c byte) bool {
 		c >= utf8.RuneSelf
 }
 
-// readName consumes a name (per encoding/xml's readName byte rules).
-// ok is false when no name byte is present. The scanner's buffer slides
-// under refills, so callers recover the name span mark-relative: record
+// readName consumes a name (per encoding/xml's readName byte rules),
+// scanning the buffer directly with the nameByte table. ok is false
+// when no name byte is present. The scanner's buffer slides under
+// refills, so callers recover the name span mark-relative: record
 // rel = s.pos - s.mark before the call (with a mark already held) and
 // slice s.buf[s.mark+rel : s.pos] after it.
 func (s *Scanner) readName() (ok bool, err error) {
-	b, got := s.getc()
-	if !got {
-		return false, s.readErr()
-	}
-	if !isNameByte(b) {
-		s.ungetc()
-		return false, nil
-	}
+	i := s.pos
 	for {
-		b, got = s.getc()
-		if !got {
+		buf := s.buf[:s.end]
+		for i < len(buf) && nameByte[buf[i]] {
+			i++
+		}
+		if i < len(buf) {
+			break
+		}
+		// The refill keeps every byte from s.pos on, so the scan resumes
+		// at the same offset from it.
+		n := i - s.pos
+		if !s.fill() {
 			return false, s.readErr()
 		}
-		if !isNameByte(b) {
-			s.ungetc()
-			return true, nil
-		}
+		i = s.pos + n
 	}
+	if i == s.pos {
+		return false, nil
+	}
+	s.pos = i
+	return true, nil
+}
+
+// matchName consumes name if the input continues with it followed by a
+// byte that cannot extend a name, and reports whether it did; on false
+// nothing is consumed. Skip mode matches an end tag against the stacked
+// start-tag name this way, without re-reading it byte by byte.
+func (s *Scanner) matchName(name []byte) bool {
+	n := len(name)
+	for s.end-s.pos <= n && s.fill() {
+	}
+	if s.end-s.pos <= n || string(s.buf[s.pos:s.pos+n]) != string(name) || nameByte[s.buf[s.pos+n]] {
+		return false
+	}
+	s.pos += n
+	return true
 }
 
 // checkName validates a scanned name against the full XML Name
-// production, the way encoding/xml's isName does. ASCII names are
-// checked directly; names with multi-byte runes are validated by
-// running them through encoding/xml itself (memoised — such names are
-// vanishingly rare on real documents).
+// production, the way encoding/xml's isName does. ASCII bytes are
+// checked directly (tail bytes already passed isNameByte); isName tests
+// each rune on its own — the first against one set, the rest against a
+// wider one — so a non-ASCII rune is checked by asking encoding/xml
+// itself about that rune alone, once per rune and position class.
 func (s *Scanner) checkName(name []byte) bool {
 	if len(name) == 0 {
 		return false
 	}
-	c := name[0]
-	if c < utf8.RuneSelf {
-		if !('A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':') {
+	if c := name[0]; c < utf8.RuneSelf && !('A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':') {
+		return false
+	}
+	for i := 0; i < len(name); {
+		if name[i] < utf8.RuneSelf {
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(name[i:])
+		if r == utf8.RuneError && size == 1 {
 			return false
 		}
-		ascii := true
-		for _, b := range name[1:] {
-			if b >= utf8.RuneSelf {
-				ascii = false
-				break
-			}
+		if !s.nameRune(r, i == 0) {
+			return false
 		}
-		if ascii {
-			return true // tail bytes already passed isNameByte
-		}
+		i += size
 	}
-	key := string(name)
-	if v, ok := s.nameCache[key]; ok {
+	return true
+}
+
+// nameRune reports whether encoding/xml accepts the non-ASCII rune r as
+// the first rune of a name (first) or as a later one, probing a decoder
+// with "<r/>" or "<ar/>" on the first ask and memoising the verdict.
+func (s *Scanner) nameRune(r rune, first bool) bool {
+	key, probe := r<<1, "<a"+string(r)+"/>"
+	if first {
+		key, probe = key|1, "<"+string(r)+"/>"
+	}
+	if v, ok := s.nameRunes[key]; ok {
 		return v
 	}
-	dec := xml.NewDecoder(strings.NewReader("<" + key + "/>"))
-	_, err := dec.Token()
-	if s.nameCache == nil {
-		s.nameCache = make(map[string]bool)
+	s.nameProbes++
+	_, err := xml.NewDecoder(strings.NewReader(probe)).Token()
+	if s.nameRunes == nil {
+		s.nameRunes = make(map[rune]bool)
 	}
-	s.nameCache[key] = err == nil
+	s.nameRunes[key] = err == nil
 	return err == nil
 }
 
@@ -620,173 +655,6 @@ type textInfo struct {
 	// normalised, and no '>' occurs (the escaper would rewrite it).
 	// Raw-copy windows may pass such chunks through untouched.
 	verbatim bool
-}
-
-// firstSpecial returns the index of the first byte of chunk contained
-// in specials, or len(chunk) when none occurs. Each byte is located
-// with bytes.IndexByte (memchr), bounding every later search by the
-// earliest hit so far, so the scan is a handful of vectorised passes
-// instead of a byte-at-a-time loop.
-func firstSpecial(chunk []byte, specials string) int {
-	n := len(chunk)
-	for i := 0; i < len(specials); i++ {
-		if j := bytes.IndexByte(chunk[:n], specials[i]); j >= 0 {
-			n = j
-		}
-	}
-	return n
-}
-
-// text decodes character data into dst (appending) and returns the
-// extended slice. quote is -1 for element content, or the quote byte
-// for an attribute value; cdata selects CDATA-section rules. The
-// behaviour mirrors encoding/xml's Decoder.text in strict mode:
-// predefined and numeric entities, \r and \r\n normalised to \n, "]]>"
-// rejected in unquoted chardata, '<' rejected inside quoted values, and
-// the decoded result checked for UTF-8 validity and the XML Char range.
-//
-// The hot loop jumps from one "special" byte to the next with memchr
-// (firstSpecial) and bulk-copies the plain spans between them; only the
-// rare special bytes are handled individually.
-func (s *Scanner) text(dst []byte, quote int, cdata bool) ([]byte, textInfo, error) {
-	info := textInfo{verbatim: true}
-	base := len(dst)
-	// The terminator comes first so the later searches are bounded by
-	// its position. ']' matters only in unquoted chardata ("]]>"), '&'
-	// and '<' only outside CDATA, '>' only for the verbatim flag (the
-	// output escaper rewrites it; CDATA is re-escaped by the caller).
-	var specials string
-	switch {
-	case cdata:
-		specials = "]\r"
-	case quote < 0:
-		specials = "<&]\r>"
-	case quote == '"':
-		specials = "\"&<\r>"
-	default:
-		specials = "'&<\r>"
-	}
-loop:
-	for {
-		if s.pos == s.end && !s.fill() {
-			if cdata {
-				if !s.atEOF() {
-					return dst, info, s.rerr
-				}
-				return dst, info, errSyntax("unexpected EOF in CDATA section")
-			}
-			break
-		}
-		chunk := s.buf[s.pos:s.end]
-		j := firstSpecial(chunk, specials)
-		if j > 0 {
-			dst = append(dst, chunk[:j]...)
-			s.pos += j
-			if j == len(chunk) {
-				continue
-			}
-		}
-		switch b := chunk[j]; b {
-		case '<':
-			if quote >= 0 {
-				return dst, info, errSyntax("unescaped < inside quoted string")
-			}
-			break loop // not consumed; the caller reads the tag
-		case '&':
-			s.pos++
-			r, err := s.decodeEntity()
-			if err != nil {
-				return dst, info, err
-			}
-			dst = utf8.AppendRune(dst, r)
-			info.verbatim = false
-		case '\r':
-			s.pos++
-			dst = append(dst, '\n')
-			info.verbatim = false
-			// \r\n collapses to the \n already written.
-			if s.pos == s.end {
-				s.fill()
-			}
-			if s.pos < s.end && s.buf[s.pos] == '\n' {
-				s.pos++
-			}
-		case '>':
-			s.pos++
-			dst = append(dst, '>')
-			info.verbatim = false
-		case ']':
-			// Collect the whole run of ']'s, then look at the byte after
-			// it: "]]>" ends a CDATA section (chopping the "]]" already
-			// appended) and is illegal in plain chardata.
-			run := 0
-			for {
-				if s.pos == s.end && !s.fill() {
-					break
-				}
-				if s.pos < s.end && s.buf[s.pos] == ']' {
-					s.pos++
-					run++
-					dst = append(dst, ']')
-					continue
-				}
-				break
-			}
-			if run >= 2 {
-				if s.pos == s.end {
-					s.fill()
-				}
-				if s.pos < s.end && s.buf[s.pos] == '>' {
-					s.pos++
-					if cdata {
-						dst = dst[:len(dst)-2]
-						break loop
-					}
-					return dst, info, errSyntax("unescaped ]]> not in CDATA section")
-				}
-			}
-		default: // the quote byte ends an attribute value
-			s.pos++
-			break loop
-		}
-	}
-	// Validate the decoded bytes: UTF-8 and the XML Char production,
-	// computing whitespace-ness in the same pass. ASCII runs in a tight
-	// byte loop; multi-byte runes fall back to full decoding.
-	info.ws = true
-	buf := dst[base:]
-	i := 0
-	for i < len(buf) {
-		c := buf[i]
-		if c >= utf8.RuneSelf {
-			break
-		}
-		if c > ' ' { // 0x21–0x7F: always a valid, non-space XML char
-			info.ws = false
-			i++
-			continue
-		}
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return dst, info, errSyntax(fmt.Sprintf("illegal character code %U", rune(c)))
-		}
-	}
-	for i < len(buf) {
-		r, size := utf8.DecodeRune(buf[i:])
-		if r == utf8.RuneError && size == 1 {
-			return dst, info, errSyntax("invalid UTF-8")
-		}
-		if !isInCharacterRange(r) {
-			return dst, info, errSyntax(fmt.Sprintf("illegal character code %U", r))
-		}
-		if info.ws && !unicode.IsSpace(r) {
-			info.ws = false
-		}
-		i += size
-	}
-	return dst, info, nil
 }
 
 // expectCDATA consumes the "[CDATA[" tail after "<![".

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"xmlproj/internal/dtd"
 )
@@ -186,7 +187,7 @@ func TestScannerBufferBoundaries(t *testing.T) {
 		strings.Repeat("long text ", 50) + `&amp;</title><author>A</author></book></bib>`
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	s := NewScanner(iotest(strings.NewReader(doc)))
+	s := NewScanner(iotest.OneByteReader(strings.NewReader(doc)))
 	pr := &pruner{s: s, d: d, p: p, opts: Options{RawCopy: true}}
 	pr.useStream(bw)
 	if err := pr.run(); err != nil {
@@ -201,18 +202,6 @@ func TestScannerBufferBoundaries(t *testing.T) {
 		t.Fatalf("one-byte reads diverge:\n%q\n%q", sb.String(), want)
 	}
 }
-
-// iotest returns a reader that yields one byte at a time.
-type oneByteReader struct{ r *strings.Reader }
-
-func (o oneByteReader) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	return o.r.Read(p)
-}
-
-func iotest(r *strings.Reader) oneByteReader { return oneByteReader{r} }
 
 // noProgressReader returns (0, nil) forever after its content runs out,
 // which io.Reader permits; the scanner must error rather than spin.
@@ -235,5 +224,31 @@ func TestNoProgressReaderErrors(t *testing.T) {
 	err := pr.run()
 	if err != io.ErrNoProgress {
 		t.Fatalf("want io.ErrNoProgress, got %v", err)
+	}
+}
+
+// TestSkipEndTagMessages: a skipped end tag that only shares a prefix
+// with the open element's name fails the byte compare and reports the
+// full path's message, in both directions, and whitespace before '>'
+// still matches.
+func TestSkipEndTagMessages(t *testing.T) {
+	d, p := setup(t, dtd.NewNameSet("bib"))
+	cases := map[string]string{
+		`<bib><book><title>t</titlex></book></bib>`:  "element <title> closed by </titlex>",
+		`<bib><book><titlex>t</title></book></bib>`:  "element <titlex> closed by </title>",
+		`<bib><book><title>t</title x></book></bib>`: "invalid characters between </title and >",
+		`<bib><book><title>t</title ></book></bib>`:  "",
+	}
+	for doc, want := range cases {
+		_, _, err := prune(t, doc, d, p, Options{})
+		if want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", doc, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want %q", doc, err, want)
+		}
 	}
 }

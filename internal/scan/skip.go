@@ -27,9 +27,8 @@ func (pr *pruner) topSkipName() []byte {
 
 // skipAttrs consumes the rest of a start tag — attributes and the
 // closing '>' or '/>' — with syntax-level checks only, reporting
-// whether the element was self-closing. Attribute values are decoded
-// into scratch (their character content must still validate) and
-// discarded.
+// whether the element was self-closing. Attribute values are validated
+// in place (skipText) and never copied.
 func (pr *pruner) skipAttrs() (empty bool, err error) {
 	s := pr.s
 	for {
@@ -89,8 +88,7 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 		if qb != '"' && qb != '\'' {
 			return false, errSyntax("unquoted or missing attribute value in element")
 		}
-		pr.attrVal, _, err = s.text(pr.attrVal[:0], int(qb), false)
-		if err != nil {
+		if _, err := s.skipText(int(qb), false); err != nil {
 			return false, err
 		}
 	}
@@ -99,10 +97,17 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 // skipScan consumes the content and end tags of the discarded elements
 // whose names sit on the skip name stack, counting skipped elements and
 // logical text runs. Depth-only scanning with full well-formedness
-// checks; memory stays constant. Depth is the name stack itself
-// (len(pr.skipOffs)), so a modePipe window boundary can pause the scan
-// (errPause) and the pipelined spine can resume it on the next window
-// with nothing but the pruner's own state.
+// checks; memory stays constant, and text is validated in place. Depth
+// is the name stack itself (len(pr.skipOffs)), so a modePipe window
+// boundary can pause the scan (errPause) and the pipelined spine can
+// resume it on the next window with nothing but the pruner's own state.
+//
+// In modeSkipRange the scan covers one delegated range inside a
+// discarded subtree instead: it starts with an empty stack and ends at
+// the end of the range, not at the subtree's end tag. The indexer's
+// verified structure guarantees the range holds complete, balanced
+// constructs, so no end tag there can close an element opened outside
+// it.
 func (pr *pruner) skipScan() error {
 	s := pr.s
 	flush := func() {
@@ -112,7 +117,7 @@ func (pr *pruner) skipScan() error {
 			pr.skipPending = false
 		}
 	}
-	for len(pr.skipOffs) > 0 {
+	for len(pr.skipOffs) > 0 || pr.mode == modeSkipRange {
 		if pr.sp != nil && pr.sp.at(s.pos) {
 			// A delegated range inside this skipped subtree. The range
 			// starts at an element tag, where this loop would flush.
@@ -124,18 +129,27 @@ func (pr *pruner) skipScan() error {
 		}
 		b, ok := s.getc()
 		if !ok {
-			if pr.mode == modePipe && s.atEOF() {
-				// Non-final window exhausted at a construct boundary;
-				// the next window resumes here.
-				return errPause
+			if s.atEOF() {
+				switch pr.mode {
+				case modePipe:
+					// Non-final window exhausted at a construct boundary;
+					// the next window resumes here.
+					return errPause
+				case modeSkipRange:
+					// The byte after the range is an element tag, where
+					// the scan would flush the pending run.
+					flush()
+					if len(pr.skipOffs) != 0 {
+						return errSyntax("unterminated element in skipped content")
+					}
+					return nil
+				}
 			}
 			return s.readErr()
 		}
 		if b != '<' {
 			s.ungetc()
-			var info textInfo
-			var err error
-			pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, false)
+			info, err := s.skipText(-1, false)
 			if err != nil {
 				return err
 			}
@@ -151,45 +165,9 @@ func (pr *pruner) skipScan() error {
 		switch b2 {
 		case '/':
 			flush()
-			s.setMark()
-			ok, err := s.readName()
-			if err != nil {
-				s.clearMark()
+			if err := pr.skipEndTag(); err != nil {
 				return err
 			}
-			if !ok {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			nameEnd := s.pos - s.mark
-			s.space()
-			b, ok = s.getc()
-			if !ok {
-				s.clearMark()
-				return s.readErr()
-			}
-			if b != '>' {
-				err := errSyntax("invalid characters between </" + string(s.buf[s.mark:s.mark+nameEnd]) + " and >")
-				s.clearMark()
-				return err
-			}
-			name := s.buf[s.mark : s.mark+nameEnd]
-			if !s.checkName(name) {
-				err := errSyntax("invalid XML name: " + string(name))
-				s.clearMark()
-				return err
-			}
-			if _, _, okn := splitName(name); !okn {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			if string(name) != string(pr.topSkipName()) {
-				err := errSyntax("element <" + string(pr.topSkipName()) + "> closed by </" + string(name) + ">")
-				s.clearMark()
-				return err
-			}
-			s.clearMark()
-			pr.popSkipName()
 		case '?':
 			if err := s.skipPI(); err != nil {
 				return err
@@ -215,9 +193,7 @@ func (pr *pruner) skipScan() error {
 				if err := s.expectCDATA(); err != nil {
 					return err
 				}
-				var info textInfo
-				var err error
-				pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, true)
+				info, err := s.skipText(-1, true)
 				if err != nil {
 					return err
 				}
@@ -265,5 +241,59 @@ func (pr *pruner) skipScan() error {
 			}
 		}
 	}
+	return nil
+}
+
+// skipEndTag consumes a skipped end tag after its "</" and pops the
+// element it closes. The stacked start-tag name was validated when it
+// was pushed, so an end tag repeating it is matched by a byte compare;
+// anything else takes the full path, which re-reads and validates the
+// name and reports the same error the emitting pruner would.
+func (pr *pruner) skipEndTag() error {
+	s := pr.s
+	if len(pr.skipOffs) > 0 && s.matchName(pr.topSkipName()) {
+		s.space()
+		b, ok := s.getc()
+		if !ok {
+			return s.readErr()
+		}
+		if b != '>' {
+			return errSyntax("invalid characters between </" + string(pr.topSkipName()) + " and >")
+		}
+		pr.popSkipName()
+		return nil
+	}
+	s.setMark()
+	defer s.clearMark()
+	ok, err := s.readName()
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return errSyntax("expected element name after </")
+	}
+	nameEnd := s.pos - s.mark
+	s.space()
+	b, ok := s.getc()
+	if !ok {
+		return s.readErr()
+	}
+	if b != '>' {
+		return errSyntax("invalid characters between </" + string(s.buf[s.mark:s.mark+nameEnd]) + " and >")
+	}
+	name := s.buf[s.mark : s.mark+nameEnd]
+	if !s.checkName(name) {
+		return errSyntax("invalid XML name: " + string(name))
+	}
+	if _, _, okn := splitName(name); !okn {
+		return errSyntax("expected element name after </")
+	}
+	if len(pr.skipOffs) == 0 {
+		return errSyntax("unbalanced end element " + string(name))
+	}
+	if string(name) != string(pr.topSkipName()) {
+		return errSyntax("element <" + string(pr.topSkipName()) + "> closed by </" + string(name) + ">")
+	}
+	pr.popSkipName()
 	return nil
 }
